@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, make_report, verify_feasible
+from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, make_report, request_counts
 from .qubo import QuboModel, build_qubo
 
 
@@ -98,7 +98,10 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
 
     lin = np.array(qubo.linear, dtype=np.int64)
     indptr, indices, data = qubo.adjacency()
-    qi, qj, qv = qubo.pair_arrays()
+    # per variable: its neighbours with their couplings q and -q
+    neighbours = np.split(indices, indptr[1:-1])
+    couplings = np.split(data, indptr[1:-1])
+    anti = np.split(-data, indptr[1:-1])
 
     state = np.zeros((reps, n), dtype=np.int8)
     # all-zero start: delta_i = linear_i; kept in float64 (exact for these
@@ -120,12 +123,15 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     flip_streams = [_replica_stream(config.seed, r, 0) for r in range(reps)]
     choice_streams = [_replica_stream(config.seed, r, 1) for r in range(reps)]
 
-    block = max(8, min(256, 1_500_000 // max(n * reps, 1)))
+    # log(u) * -T equals -log(u) * T exactly: rounding is sign-symmetric
+    scale = -temps if temps is not None else np.full(reps, -1.0)
+    # iterations per refill, sized so thresholds stay in a core's cache;
+    # each stream is read in order, so the size does not change results
+    block = max(8, min(256, 200_000 // max(n * reps, 1)))
     thresholds = np.empty((block, reps, n))  # iteration-major: contiguous slices
     choices = np.empty((block, reps))
     gate = np.empty((reps, n))
     candidates = np.empty((reps, n), dtype=bool)
-    csum = np.empty((reps, n), dtype=np.int64)
 
     best_energy = int(qubo.constant)
     best_bits = state[0].copy()
@@ -141,40 +147,40 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                 for r in range(reps):
                     u = flip_streams[r].random((block, n))
                     np.log(u, out=u)
-                    thresholds[:, r, :] = u
+                    np.multiply(u, scale[r], out=thresholds[:, r, :])
                     choices[:, r] = choice_streams[r].random(block)
-            np.negative(thresholds, out=thresholds)
-            if temps is not None:
-                thresholds *= temps[None, :, None]
         if schedule is not None:
             np.multiply(thresholds[bt], schedule[t], out=gate)
             np.add(gate, offset[:, None], out=gate)
         else:
             np.add(thresholds[bt], offset[:, None], out=gate)
         np.less(delta, gate, out=candidates)
-        np.cumsum(candidates, axis=1, dtype=np.int64, out=csum)
 
-        flipped_any = False
-        for r in range(reps):
-            m = int(csum[r, -1])
-            if m == 0:
-                offset[r] += increment
-                activations += 1
-                continue
-            rank = min(int(choices[bt, r] * m), m - 1)
-            pick = int(np.searchsorted(csum[r], rank + 1))
-            energy[r] += int(delta[r, pick])
-            lo, hi = indptr[pick], indptr[pick + 1]
-            nb = indices[lo:hi]
-            sign = 1 - 2 * int(state[r, pick])
-            delta[r, nb] += (1 - 2 * state[r, nb].astype(np.int64)) * data[lo:hi] * sign
-            delta[r, pick] = -delta[r, pick]
-            state[r, pick] ^= 1
+        # replicas without a candidate raise their offset; the others take
+        # candidate floor(choice * m) of their m candidates
+        live = candidates.any(axis=1)
+        active = live.nonzero()[0].tolist()
+        if len(active) < reps:
+            offset[~live] += increment
+            activations += reps - len(active)
+        for r in active:
+            idx = candidates[r].nonzero()[0]
+            m = len(idx)
+            pick = int(idx[min(int(choices[bt, r] * m), m - 1)])
+            row, bits = delta[r], state[r]
+            step = row[pick]
+            energy[r] += int(step)
+            nb = neighbours[pick]
+            # a neighbour's delta moves by +q if its bit equals the flipped
+            # bit before the flip, else by -q
+            up, down = (anti[pick], couplings[pick]) if bits[pick] else (couplings[pick], anti[pick])
+            row[nb] += np.where(bits[nb], down, up)
+            row[pick] = -step
+            bits[pick] ^= 1
             offset[r] = 0.0
-            accepted += 1
-            flipped_any = True
+        accepted += len(active)
 
-        if flipped_any:
+        if active:
             r_min = int(energy.argmin())
             if energy[r_min] < best_energy:
                 best_energy = int(energy[r_min])
@@ -192,10 +198,8 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                     energy[[k, k + 1]] = energy[[k + 1, k]]
 
         if __debug__ and (t + 1) % 1024 == 0:
-            s64 = state.astype(np.int64)
-            full = qubo.constant + s64 @ lin
-            if qv.size:
-                full += (s64[:, qi] * s64[:, qj]) @ qv
+            full = qubo.constant + state.astype(np.int64) @ lin
+            full += [_pair_energy(bits, neighbours, couplings) for bits in state]
             assert (full == energy).all(), "incremental energy bookkeeping diverged"
 
     return AnnealResult(
@@ -205,6 +209,15 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         accepted_flips=accepted,
         offset_activations=activations,
     )
+
+
+def _pair_energy(bits: np.ndarray, neighbours: list[np.ndarray], couplings: list[np.ndarray]) -> int:
+    """Sum of the pair terms whose two variables are both set in bits."""
+    on = bits.nonzero()[0].tolist()
+    if not on:
+        return 0
+    both = np.concatenate([couplings[i] for i in on])[bits[np.concatenate([neighbours[i] for i in on])] == 1]
+    return int(both.sum()) // 2  # each pair is met from both of its ends
 
 
 def _clearing_damage(instance: Instance, alpha: int, beta: int, index: int) -> int:
@@ -222,35 +235,14 @@ def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alp
     """
     changed = False
     while True:
-        verdict = verify_feasible(instance, conflict_sets, bits)
-        if verdict.feasible:
+        rows = conflict_sets.hits(bits)
+        involved = {*conflict_sets.first[rows].tolist(), *conflict_sets.second[rows].tolist()}
+        for r, (cw, cp) in enumerate(request_counts(instance, bits)):
+            if cw != cp or cw > 1:
+                involved.update(instance.var_range(r, WORKING), instance.var_range(r, PROTECTION))
+        if not involved:
             return changed
-        involved: set[int] = set()
-        for violation in verdict.violations:
-            if violation.kind in ("eq2", "eq3"):
-                rid = violation.detail[0]
-                req = instance.requests[rid]
-                for kind, count in ((WORKING, len(req.working)), (PROTECTION, len(req.protection))):
-                    for local in range(count):
-                        involved.add(instance.var_of(rid, kind, local))
-            elif violation.kind == "c1":
-                r, w, p = violation.detail
-                involved.add(instance.var_of(r, WORKING, w))
-                involved.add(instance.var_of(r, PROTECTION, p))
-            elif violation.kind == "c2":
-                r1, r2, w, p = violation.detail
-                involved.add(instance.var_of(r1, WORKING, w))
-                involved.add(instance.var_of(r2, PROTECTION, p))
-            elif violation.kind == "c3":
-                r1, r2, w1, w2 = violation.detail
-                involved.add(instance.var_of(r1, WORKING, w1))
-                involved.add(instance.var_of(r2, WORKING, w2))
-            else:
-                r1, r2, p1, p2 = violation.detail
-                involved.add(instance.var_of(r1, PROTECTION, p1))
-                involved.add(instance.var_of(r2, PROTECTION, p2))
-        set_bits = [i for i in sorted(involved) if bits[i]]
-        target = min(set_bits, key=lambda i: (_clearing_damage(instance, alpha, beta, i), i))
+        target = min((i for i in involved if bits[i]), key=lambda i: (_clearing_damage(instance, alpha, beta, i), i))
         bits[target] = 0
         changed = True
 

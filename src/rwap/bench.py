@@ -3,6 +3,7 @@ per-method aggregate rows, with optional penalty-coefficient sweeps."""
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -88,7 +89,7 @@ def _run_task(task: BenchTask) -> dict:
         row["feasible"] = int(report.feasible)
         row["repaired"] = int(report.repaired)
     except Exception as exc:  # a failing row must not kill the run
-        row["error"] = f"{type(exc).__name__}: {exc}".replace(",", ";")
+        row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time_s"] = round(time.perf_counter() - started, 3)
     return row
 
@@ -128,9 +129,9 @@ def run_bench(tasks: list[BenchTask]) -> list[dict]:
 def rows_to_csv(rows: list[dict]) -> str:
     out = io.StringIO()
     out.write(f"# {CSV_VERSION}: columns fixed, aggregates keyed by instance=AGGREGATE\n")
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        out.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
     return out.getvalue()
 
 

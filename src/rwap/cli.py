@@ -11,7 +11,7 @@ from .anneal import AnnealConfig, anneal, decode_result
 from .conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from .gen import generate, synth_topology
 from .heuristic import RsConfig, rs_heur
-from .instance import Solution, load_instance, report_to_dict, save_instance, verify_feasible
+from .instance import DimensionError, Solution, load_instance, report_to_dict, save_instance, verify_feasible
 from .ip import build_ip, export_lp
 from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
 from .qubo import build_qubo, export_qubo, rho_base
@@ -152,7 +152,11 @@ def _cmd_verify(args) -> int:
         payload = json.load(fh)
     solution = Solution.from_string(payload["bits"])
     conflicts = build_conflict_sets(inst)
-    verdict = verify_feasible(inst, conflicts, solution)
+    try:
+        verdict = verify_feasible(inst, conflicts, solution)
+    except DimensionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if verdict.feasible:
         print("feasible")
         return 0

@@ -13,106 +13,139 @@ that slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .instance import Instance, PROTECTION, WORKING
+import numpy as np
 
-
-def _intersects(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # merge intersection over sorted link-id lists; paths are short
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return True
-        if a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return False
+from .instance import Instance, PROTECTION, Request, WORKING
 
 
-@dataclass(frozen=True)
+def _overlapping_protections(req: Request) -> list[tuple[int, ...]]:
+    """Per working lightpath of req, the local indices of its protections
+    sharing a link with it."""
+    protections = [set(pl.links) for pl in req.protection]
+    return [tuple(p for p, links in enumerate(protections) if not links.isdisjoint(wl.links)) for wl in req.working]
+
+
+@dataclass(frozen=True, eq=False)
 class ConflictSets:
-    """The four conflict tuple families, in deterministic sorted order.
+    """Every conflicting variable pair of an instance, once, as dense arrays.
 
-    c1 holds (request, working, protection) triples whose paths overlap;
-    c2 holds (r1, r2, w, p) with r1 != r2, both orientations enumerated;
-    c3/c4 hold each unordered same-kind pair once, canonically ordered
-    (r1 < r2, or r1 == r2 with the smaller local index first).
+    Row t is the variable pair (``first[t]``, ``second[t]``) of class
+    ``classes[t]``: 1 for a request's own working and protection lightpaths
+    sharing a link, and for two same-wavelength lightpaths sharing a link 2
+    (working and protection of different requests), 3 (two working) or 4
+    (two protection).  ``first`` is the working endpoint in classes 1 and 2
+    and the smaller index in classes 3 and 4.  Rows run by class and within
+    a class in the order of its tuple family c1..c4, which base-model row
+    names follow.
     """
 
-    c1: tuple[tuple[int, int, int], ...]
-    c2: tuple[tuple[int, int, int, int], ...]
-    c3: tuple[tuple[int, int, int, int], ...]
-    c4: tuple[tuple[int, int, int, int], ...]
+    instance: Instance
+    first: np.ndarray  # int64 per row
+    second: np.ndarray  # int64 per row
+    classes: np.ndarray  # int8 per row
 
     @property
     def pair_count(self) -> int:
-        return len(self.c1) + len(self.c2) + len(self.c3) + len(self.c4)
+        return len(self.classes)
+
+    def hits(self, bits) -> np.ndarray:
+        """Rows whose two variables are both set in bits."""
+        on = np.asarray(bits, dtype=bool)
+        return (on[self.first] & on[self.second]).nonzero()[0]
+
+    def conflict_tuple(self, row: int) -> tuple[int, ...]:
+        """Row ``row`` as its c1..c4 tuple."""
+        r1, _, l1 = self.instance.var_info(int(self.first[row]))
+        r2, _, l2 = self.instance.var_info(int(self.second[row]))
+        return (r1, l1, l2) if self.classes[row] == 1 else (r1, r2, l1, l2)
+
+    def _family(self, cls: int) -> tuple[tuple[int, ...], ...]:
+        lo, hi = np.searchsorted(self.classes, (cls, cls + 1)).tolist()
+        return tuple(self.conflict_tuple(row) for row in range(lo, hi))
+
+    @cached_property
+    def c1(self) -> tuple[tuple[int, int, int], ...]:
+        """(request, working, protection) triples whose paths overlap."""
+        return self._family(1)
+
+    @cached_property
+    def c2(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(r1, r2, w, p) with r1 != r2, both orientations enumerated."""
+        return self._family(2)
+
+    @cached_property
+    def c3(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(r1, r2, w1, w2), each unordered working pair once, (r1, w1) < (r2, w2)."""
+        return self._family(3)
+
+    @cached_property
+    def c4(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(r1, r2, p1, p2), each unordered protection pair once, (r1, p1) < (r2, p2)."""
+        return self._family(4)
 
     def variable_pairs(self, instance: Instance) -> set[tuple[int, int]]:
         """All conflicting variable-index pairs (i < j), for cross-checks."""
-        pairs: set[tuple[int, int]] = set()
-
-        def add(i: int, j: int) -> None:
-            pairs.add((i, j) if i < j else (j, i))
-
-        for (r, w, p) in self.c1:
-            add(instance.var_of(r, WORKING, w), instance.var_of(r, PROTECTION, p))
-        for (r1, r2, w, p) in self.c2:
-            add(instance.var_of(r1, WORKING, w), instance.var_of(r2, PROTECTION, p))
-        for (r1, r2, w1, w2) in self.c3:
-            add(instance.var_of(r1, WORKING, w1), instance.var_of(r2, WORKING, w2))
-        for (r1, r2, p1, p2) in self.c4:
-            add(instance.var_of(r1, PROTECTION, p1), instance.var_of(r2, PROTECTION, p2))
-        return pairs
+        return {(min(a, b), max(a, b)) for a, b in zip(self.first.tolist(), self.second.tolist())}
 
 
 def build_conflict_sets(instance: Instance) -> ConflictSets:
-    """Enumerate c1..c4 exactly from link and wavelength overlaps."""
-    sorted_links: dict[int, tuple[int, ...]] = {
-        i: tuple(sorted(instance.lightpath_at(i).links)) for i in range(instance.n_vars)
-    }
+    """Pairwise closure of the (link, wavelength) slot groups, plus each
+    request's working/protection lightpaths sharing a link."""
+    n, n_req = instance.n_vars, len(instance.requests)
+    # A pair is one integer, class * span + hi[first] + lo[second], whose
+    # order is the class, then the requests of first and second, then first
+    # and second: the order of the c1..c4 tuples.  It fits in int64 while
+    # requests * variables stays below 1.3e9.
+    nn = n * n
+    span = n_req * n_req * nn
+    hi: list[int] = []
+    lo: list[int] = []
+    request_of: list[int] = []
+    slots: dict[int, tuple[list[int], list[int]]] = {}  # slot -> (working, protection) variables
+    keys: set[int] = set()
+    wavelengths = instance.wavelength_count
+    for r, req in enumerate(instance.requests):
+        w0 = len(hi)
+        for kind, lightpaths in ((WORKING, req.working), (PROTECTION, req.protection)):
+            for lp in lightpaths:
+                i = len(hi)
+                hi.append((r * n_req * n + i) * n)
+                lo.append(r * nn + i)
+                request_of.append(r)
+                for e in set(lp.links):
+                    slot = e * wavelengths + lp.wavelength
+                    group = slots.get(slot)
+                    if group is None:
+                        slots[slot] = group = ([], [])
+                    group[kind].append(i)
+        p0 = w0 + len(req.working)
+        for w, plist in enumerate(_overlapping_protections(req)):
+            c1 = span + hi[w0 + w]
+            for p in plist:
+                keys.add(c1 + lo[p0 + p])
 
-    c1: list[tuple[int, int, int]] = []
-    for req in instance.requests:
-        for w, wl in enumerate(req.working):
-            wkey = sorted_links[instance.var_of(req.id, WORKING, w)]
-            for p in range(len(req.protection)):
-                if _intersects(wkey, sorted_links[instance.var_of(req.id, PROTECTION, p)]):
-                    c1.append((req.id, w, p))
+    for working, protection in slots.values():
+        if len(working) + len(protection) < 2:
+            continue
+        for x, a in enumerate(working):
+            c3, c2, r = 3 * span + hi[a], 2 * span + hi[a], request_of[a]
+            for b in working[x + 1 :]:
+                keys.add(c3 + lo[b])
+            # a same-request working/protection pair is class 1, added above
+            for b in protection:
+                if request_of[b] != r:
+                    keys.add(c2 + lo[b])
+        for x, a in enumerate(protection):
+            c4 = 4 * span + hi[a]
+            for b in protection[x + 1 :]:
+                keys.add(c4 + lo[b])
 
-    # same-wavelength classes: pairwise within each wavelength only
-    by_wavelength: dict[int, list[int]] = {}
-    for i in range(instance.n_vars):
-        by_wavelength.setdefault(instance.lightpath_at(i).wavelength, []).append(i)
-
-    c2: set[tuple[int, int, int, int]] = set()
-    c3: set[tuple[int, int, int, int]] = set()
-    c4: set[tuple[int, int, int, int]] = set()
-    for members in by_wavelength.values():
-        for a_pos, i in enumerate(members):
-            r1, k1, l1 = instance.var_info(i)
-            ikey = sorted_links[i]
-            for j in members[a_pos + 1 :]:
-                r2, k2, l2 = instance.var_info(j)
-                if not _intersects(ikey, sorted_links[j]):
-                    continue
-                if k1 == WORKING and k2 == WORKING:
-                    c3.add((r1, r2, l1, l2) if (r1, l1) < (r2, l2) else (r2, r1, l2, l1))
-                elif k1 == PROTECTION and k2 == PROTECTION:
-                    c4.add((r1, r2, l1, l2) if (r1, l1) < (r2, l2) else (r2, r1, l2, l1))
-                elif r1 != r2:
-                    if k1 == WORKING:
-                        c2.add((r1, r2, l1, l2))
-                    else:
-                        c2.add((r2, r1, l2, l1))
-                # same-request working/protection overlap is already in c1
-    return ConflictSets(
-        c1=tuple(sorted(c1)),
-        c2=tuple(sorted(c2)),
-        c3=tuple(sorted(c3)),
-        c4=tuple(sorted(c4)),
-    )
+    flat = np.fromiter(keys, np.int64, len(keys))
+    flat.sort()
+    first, second = np.divmod(flat % nn, n)
+    return ConflictSets(instance, first, second, (flat // span).astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -156,14 +189,9 @@ class StrongGroups:
 
 
 def build_strong_groups(instance: Instance) -> StrongGroups:
-    pbar: dict[tuple[int, int], tuple[int, ...]] = {}
-    for req in instance.requests:
-        for w, wl in enumerate(req.working):
-            wkey = tuple(sorted(wl.links))
-            overlapping = tuple(
-                p for p, pl in enumerate(req.protection) if _intersects(wkey, tuple(sorted(pl.links)))
-            )
-            pbar[(req.id, w)] = overlapping
+    pbar = {
+        (req.id, w): plist for req in instance.requests for w, plist in enumerate(_overlapping_protections(req))
+    }
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(instance.n_vars):

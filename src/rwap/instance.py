@@ -13,6 +13,8 @@ safe to share across threads.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -129,9 +131,14 @@ class Instance:
 
     def var_of(self, request_id: int, kind: int, local: int) -> int:
         base = self._offsets[(request_id, kind)]
-        if local >= len(self.requests[request_id].lightpaths(kind)):
+        if not 0 <= local < len(self.requests[request_id].lightpaths(kind)):
             raise IndexError(f"no lightpath {local} for request {request_id} kind {kind}")
         return base + local
+
+    def var_range(self, request_id: int, kind: int) -> range:
+        """Dense indices of one request's lightpaths of one kind."""
+        base = self._offsets[(request_id, kind)]
+        return range(base, base + len(self.requests[request_id].lightpaths(kind)))
 
     def var_info(self, index: int) -> tuple[int, int, int]:
         """Map a dense variable index back to (request id, kind, local index)."""
@@ -227,6 +234,16 @@ class Verdict:
     violations: tuple[Violation, ...]
 
 
+def request_counts(instance: Instance, bits: Sequence[int]) -> list[tuple[int, int]]:
+    """Selected (working, protection) lightpath counts per request."""
+    counts = []
+    for req in instance.requests:
+        w = instance._offsets[(req.id, WORKING)]
+        p = w + len(req.working)  # protection follows working
+        counts.append((sum(bits[w:p]), sum(bits[p : p + len(req.protection)])))
+    return counts
+
+
 def verify_feasible(instance: Instance, conflict_sets, solution: Solution | Sequence[int]) -> Verdict:
     """Check a bit vector against all model constraints.
 
@@ -235,25 +252,13 @@ def verify_feasible(instance: Instance, conflict_sets, solution: Solution | Sequ
     """
     bits = _check_dims(instance, solution)
     violations: list[Violation] = []
-    for req in instance.requests:
-        cw = sum(bits[instance.var_of(req.id, WORKING, w)] for w in range(len(req.working)))
-        cp = sum(bits[instance.var_of(req.id, PROTECTION, p)] for p in range(len(req.protection)))
+    for r, (cw, cp) in enumerate(request_counts(instance, bits)):
         if cw != cp:
-            violations.append(Violation("eq2", (req.id,)))
+            violations.append(Violation("eq2", (r,)))
         if cw > 1:
-            violations.append(Violation("eq3", (req.id,)))
-    for (r, w, p) in conflict_sets.c1:
-        if bits[instance.var_of(r, WORKING, w)] and bits[instance.var_of(r, PROTECTION, p)]:
-            violations.append(Violation("c1", (r, w, p)))
-    for (r1, r2, w, p) in conflict_sets.c2:
-        if bits[instance.var_of(r1, WORKING, w)] and bits[instance.var_of(r2, PROTECTION, p)]:
-            violations.append(Violation("c2", (r1, r2, w, p)))
-    for (r1, r2, w1, w2) in conflict_sets.c3:
-        if bits[instance.var_of(r1, WORKING, w1)] and bits[instance.var_of(r2, WORKING, w2)]:
-            violations.append(Violation("c3", (r1, r2, w1, w2)))
-    for (r1, r2, p1, p2) in conflict_sets.c4:
-        if bits[instance.var_of(r1, PROTECTION, p1)] and bits[instance.var_of(r2, PROTECTION, p2)]:
-            violations.append(Violation("c4", (r1, r2, p1, p2)))
+            violations.append(Violation("eq3", (r,)))
+    for row in conflict_sets.hits(bits).tolist():
+        violations.append(Violation(f"c{conflict_sets.classes[row]}", conflict_sets.conflict_tuple(row)))
     return Verdict(feasible=not violations, violations=tuple(violations))
 
 
@@ -291,11 +296,7 @@ def make_report(
 ) -> SolveReport:
     """Evaluate a solution and assemble the common report fields."""
     verdict = verify_feasible(instance, conflict_sets, solution)
-    granted = tuple(
-        req.id
-        for req in instance.requests
-        if any(solution.bits[instance.var_of(req.id, WORKING, w)] for w in range(len(req.working)))
-    )
+    granted = tuple(r for r, (cw, _) in enumerate(request_counts(instance, solution.bits)) if cw)
     return SolveReport(
         method=method,
         solution=solution,
@@ -362,6 +363,21 @@ def instance_from_dict(data: dict) -> Instance:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_dict(json.load(fh))
+
+
+def write_atomic(destination: str, text: str) -> None:
+    """Write text to destination through a temp file and a rename, so a
+    failed write leaves no partial file behind."""
+    directory = os.path.dirname(os.path.abspath(destination))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, destination)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_instance(instance: Instance, path: str) -> None:

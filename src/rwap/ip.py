@@ -9,12 +9,10 @@ loses nothing.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 from .conflicts import ConflictSets, StrongGroups
-from .instance import Instance, PROTECTION, WORKING
+from .instance import Instance, PROTECTION, WORKING, write_atomic
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,11 @@ def build_ip(
     if kind == "base":
         if not isinstance(structure, ConflictSets):
             raise TypeError("base model requires ConflictSets")
-        for t, (r, w, p) in enumerate(structure.c1):
-            rows.append(Constraint(f"c1_{t}", ((instance.var_of(r, WORKING, w), 1), (instance.var_of(r, PROTECTION, p), 1)), "<=", 1))
-        for t, (r1, r2, w, p) in enumerate(structure.c2):
-            rows.append(Constraint(f"c2_{t}", ((instance.var_of(r1, WORKING, w), 1), (instance.var_of(r2, PROTECTION, p), 1)), "<=", 1))
-        for t, (r1, r2, w1, w2) in enumerate(structure.c3):
-            rows.append(Constraint(f"c3_{t}", ((instance.var_of(r1, WORKING, w1), 1), (instance.var_of(r2, WORKING, w2), 1)), "<=", 1))
-        for t, (r1, r2, p1, p2) in enumerate(structure.c4):
-            rows.append(Constraint(f"c4_{t}", ((instance.var_of(r1, PROTECTION, p1), 1), (instance.var_of(r2, PROTECTION, p2), 1)), "<=", 1))
+        first_row: dict[int, int] = {}
+        columns = (structure.first.tolist(), structure.second.tolist(), structure.classes.tolist())
+        for row, (a, b, cls) in enumerate(zip(*columns)):
+            t = row - first_row.setdefault(cls, row)
+            rows.append(Constraint(f"c{cls}_{t}", ((a, 1), (b, 1)), "<=", 1))
     elif kind == "strong":
         if not isinstance(structure, StrongGroups):
             raise TypeError("strong model requires StrongGroups")
@@ -135,13 +130,4 @@ def lp_text(model: LinearModel) -> str:
 
 def export_lp(model: LinearModel, destination: str) -> None:
     """Write the LP file atomically (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(destination))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".lp.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(lp_text(model))
-        os.replace(tmp, destination)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(destination, lp_text(model))

@@ -56,10 +56,7 @@ def _tables(instance: Instance, conflict_sets: ConflictSets) -> _FeasibilityTabl
     for i in range(n):
         r, kind, _ = instance.var_info(i)
         (wm if kind == WORKING else pm)[r, i] = 1
-    pairs = sorted(conflict_sets.variable_pairs(instance))
-    pi = np.array([p[0] for p in pairs], dtype=np.int64)
-    pj = np.array([p[1] for p in pairs], dtype=np.int64)
-    return _FeasibilityTables(wm, pm, pi, pj)
+    return _FeasibilityTables(wm, pm, conflict_sets.first, conflict_sets.second)
 
 
 def _feasible_mask(tables: _FeasibilityTables, bits: np.ndarray) -> np.ndarray:

@@ -21,7 +21,18 @@ from typing import Sequence
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import DimensionError, Instance, PROTECTION, Solution, WORKING, f_alpha, f_beta
+from .instance import (
+    DimensionError,
+    Instance,
+    PROTECTION,
+    Solution,
+    WORKING,
+    _check_dims,
+    f_alpha,
+    f_beta,
+    request_counts,
+    write_atomic,
+)
 
 
 @dataclass(frozen=True)
@@ -100,29 +111,15 @@ class QuboModel:
         return int(total)
 
 
-def build_qubo(
-    instance: Instance,
-    conflict_sets: ConflictSets,
-    alpha: int,
-    beta: int,
-    rho: int,
-    *,
-    rho_match: int | None = None,
-    rho_single: int | None = None,
-    rho_conflicts: int | None = None,
-) -> QuboModel:
+def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta: int, rho: int) -> QuboModel:
     """Assemble the penalized quadratic form.
 
     Variable indices follow the instance's dense order, so bit vectors move
-    between the quadratic model and the instance unchanged.  A single uniform
-    rho covers every penalty group by default; the keyword overrides allow
-    per-group coefficients for sensitivity experiments.
+    between the quadratic model and the instance unchanged.  One uniform rho
+    covers every penalty group.
     """
     if rho < 1:
         raise ValueError("rho must be a positive integer")
-    r_match = rho if rho_match is None else rho_match
-    r_single = rho if rho_single is None else rho_single
-    r_conf = rho if rho_conflicts is None else rho_conflicts
 
     n = instance.n_vars
     linear = [0] * n
@@ -137,33 +134,24 @@ def build_qubo(
         linear[i] += alpha * instance.lightpath_at(i).length - (beta if kind == WORKING else 0)
 
     for req in instance.requests:
-        wvars = [instance.var_of(req.id, WORKING, w) for w in range(len(req.working))]
-        pvars = [instance.var_of(req.id, PROTECTION, p) for p in range(len(req.protection))]
-        # squared working/protection count difference
-        for v in wvars + pvars:
-            linear[v] += r_match
+        wvars = instance.var_range(req.id, WORKING)
+        pvars = instance.var_range(req.id, PROTECTION)
+        # squared working/protection count difference, plus count * (count - 1)
+        # over working bits, which is purely pairwise on binaries
+        for v in [*wvars, *pvars]:
+            linear[v] += rho
         for a in range(len(wvars)):
             for b in range(a + 1, len(wvars)):
-                add_pair(wvars[a], wvars[b], 2 * r_match)
+                add_pair(wvars[a], wvars[b], 4 * rho)
         for a in range(len(pvars)):
             for b in range(a + 1, len(pvars)):
-                add_pair(pvars[a], pvars[b], 2 * r_match)
+                add_pair(pvars[a], pvars[b], 2 * rho)
         for vw in wvars:
             for vp in pvars:
-                add_pair(vw, vp, -2 * r_match)
-        # count * (count - 1) over working bits: purely pairwise on binaries
-        for a in range(len(wvars)):
-            for b in range(a + 1, len(wvars)):
-                add_pair(wvars[a], wvars[b], 2 * r_single)
+                add_pair(vw, vp, -2 * rho)
 
-    for (r, w, p) in conflict_sets.c1:
-        add_pair(instance.var_of(r, WORKING, w), instance.var_of(r, PROTECTION, p), r_conf)
-    for (r1, r2, w, p) in conflict_sets.c2:
-        add_pair(instance.var_of(r1, WORKING, w), instance.var_of(r2, PROTECTION, p), r_conf)
-    for (r1, r2, w1, w2) in conflict_sets.c3:
-        add_pair(instance.var_of(r1, WORKING, w1), instance.var_of(r2, WORKING, w2), r_conf)
-    for (r1, r2, p1, p2) in conflict_sets.c4:
-        add_pair(instance.var_of(r1, PROTECTION, p1), instance.var_of(r2, PROTECTION, p2), r_conf)
+    for i, j in zip(conflict_sets.first.tolist(), conflict_sets.second.tolist()):
+        add_pair(i, j, rho)
 
     quad = {key: coeff for key, coeff in sorted(quad.items()) if coeff != 0}
     return QuboModel(
@@ -202,36 +190,14 @@ class PenaltyBreakdown:
 
 def penalty(instance: Instance, conflict_sets: ConflictSets, solution: Solution | Sequence[int]) -> PenaltyBreakdown:
     """Evaluate the penalty terms directly from their definitions."""
-    bits = solution.bits if isinstance(solution, Solution) else solution
-    if len(bits) != instance.n_vars:
-        raise DimensionError(f"solution has {len(bits)} bits, instance has {instance.n_vars} variables")
-    eq2 = eq3 = 0
-    for req in instance.requests:
-        cw = sum(bits[instance.var_of(req.id, WORKING, w)] for w in range(len(req.working)))
-        cp = sum(bits[instance.var_of(req.id, PROTECTION, p)] for p in range(len(req.protection)))
-        eq2 += (cw - cp) ** 2
-        eq3 += cw * (cw - 1)
-    c1 = sum(
-        1
-        for (r, w, p) in conflict_sets.c1
-        if bits[instance.var_of(r, WORKING, w)] and bits[instance.var_of(r, PROTECTION, p)]
+    bits = _check_dims(instance, solution)
+    counts = request_counts(instance, bits)
+    per_class = np.bincount(conflict_sets.classes[conflict_sets.hits(bits)], minlength=5).tolist()
+    return PenaltyBreakdown(
+        sum((cw - cp) ** 2 for cw, cp in counts),
+        sum(cw * (cw - 1) for cw, _ in counts),
+        *per_class[1:],
     )
-    c2 = sum(
-        1
-        for (r1, r2, w, p) in conflict_sets.c2
-        if bits[instance.var_of(r1, WORKING, w)] and bits[instance.var_of(r2, PROTECTION, p)]
-    )
-    c3 = sum(
-        1
-        for (r1, r2, w1, w2) in conflict_sets.c3
-        if bits[instance.var_of(r1, WORKING, w1)] and bits[instance.var_of(r2, WORKING, w2)]
-    )
-    c4 = sum(
-        1
-        for (r1, r2, p1, p2) in conflict_sets.c4
-        if bits[instance.var_of(r1, PROTECTION, p1)] and bits[instance.var_of(r2, PROTECTION, p2)]
-    )
-    return PenaltyBreakdown(eq2, eq3, c1, c2, c3, c4)
 
 
 def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var_index: int) -> int:
@@ -286,16 +252,4 @@ def qubo_text(model: QuboModel) -> str:
 
 
 def export_qubo(model: QuboModel, destination: str) -> None:
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(destination))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".qubo.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(qubo_text(model))
-        os.replace(tmp, destination)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(destination, qubo_text(model))

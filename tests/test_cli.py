@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
 from rwap.instance import load_instance, save_instance
 
@@ -120,6 +122,15 @@ def test_verify_command(inst_path, tmp_path, capsys):
     assert "c3" in out
 
 
+def test_verify_rejects_wrong_length_solution(inst_path, tmp_path, capsys):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"bits": "1"}))
+    assert main(["verify", inst_path, str(short)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solution has 1 bits, instance has 7 variables" in captured.err
+
+
 def test_reduce_mss_command(tmp_path, capsys):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"nodes": 3, "edges": [[0, 1], [1, 2]]}))
@@ -156,6 +167,21 @@ def test_bench_csv(inst_path, tmp_path):
     assert all(r["error"] == "" and r["feasible"] == "1" for r in per_seed)
     aggregates = [r for r in rows if r["instance"] == "AGGREGATE"]
     assert {r["method"] for r in aggregates} == {"rs", "exact"}
+
+
+def test_bench_csv_quotes_labels_with_commas(tmp_path):
+    path = tmp_path / "a,b.json"
+    save_instance(figure1_instance(), str(path))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(path), "--methods", "rs", "--budget", "2", "-o", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()[1:]))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3  # header, one run, one aggregate
+    assert rows[1][0] == str(path)
+
+
+def test_bench_csv_plain_row_bytes():
+    row = dict.fromkeys(CSV_COLUMNS, "") | {"instance": "x.json", "method": "rs", "seed": 0, "wall_time_s": 0.5}
+    assert rows_to_csv([row]).splitlines(keepends=True)[1:] == [",".join(CSV_COLUMNS) + "\n", "x.json,rs,0,,,,,,,,,0.5,\n"]
 
 
 def test_bench_rho_sweep_aggregates(inst_path, capsys):

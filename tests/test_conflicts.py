@@ -58,6 +58,29 @@ def test_conflict_sets_match_pairwise_oracle(seed):
     assert set(cs.c4) == c4
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_conflict_families_in_sorted_tuple_order(seed):
+    inst = small_instance(seed)
+    cs = build_conflict_sets(inst)
+    for family, oracle in zip((cs.c1, cs.c2, cs.c3, cs.c4), _pairwise_oracle(inst)):
+        assert family == tuple(sorted(oracle))
+
+
+def test_lightpath_repeating_a_link_does_not_conflict_with_itself():
+    # a walk 0 -> 1 -> 0 -> 1 is a legal lightpath that uses link 0 twice
+    net = Network(node_count=2, links=((0, 1), (1, 0)))
+    req = Request(
+        id=0,
+        source=0,
+        destination=1,
+        working=(Lightpath((0, 1, 0), 0),),
+        protection=(Lightpath((0,), 0),),
+    )
+    inst = Instance(network=net, wavelength_count=1, requests=(req,))
+    cs = build_conflict_sets(inst)
+    assert (cs.c1, cs.c2, cs.c3, cs.c4) == (((0, 0, 0),), (), (), ())
+
+
 def test_strong_group_for_shared_link_and_wavelength(figure1):
     _, lid = hand_network()
     groups = build_strong_groups(figure1).groups

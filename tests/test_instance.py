@@ -12,12 +12,14 @@ from rwap.instance import (
     InstanceError,
     Lightpath,
     Network,
+    PROTECTION,
     Request,
     Solution,
     f_alpha,
     f_beta,
     instance_from_dict,
     instance_to_dict,
+    WORKING,
     ip_objective,
     verify_feasible,
 )
@@ -131,6 +133,14 @@ def test_granted_usage_lower_bound():
 def test_variable_order_is_request_then_kind_then_local(figure1):
     infos = [figure1.var_info(i) for i in range(figure1.n_vars)]
     assert infos == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
+
+
+def test_var_of_rejects_out_of_range_local(tight23):
+    assert tight23.var_of(0, WORKING, 0) == 0
+    assert tight23.var_of(0, PROTECTION, 0) == 1
+    for local in (-1, 1):
+        with pytest.raises(IndexError):
+            tight23.var_of(0, PROTECTION, local)
 
 
 def test_empty_lightpath_sets_are_legal():

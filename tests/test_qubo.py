@@ -173,16 +173,6 @@ def test_rho_tight_separates_and_never_exceeds_base(seed):
         assert min(infeasible_low) <= max(feasible_low)
 
 
-def test_per_group_coefficients_default_uniform():
-    inst = tight_example(2, 3)
-    cs = build_conflict_sets(inst)
-    uniform = build_qubo(inst, cs, 1, 6, 7)
-    custom = build_qubo(inst, cs, 1, 6, 7, rho_match=7, rho_single=7, rho_conflicts=7)
-    assert uniform == custom
-    heavier = build_qubo(inst, cs, 1, 6, 7, rho_match=9)
-    assert heavier.energy((1, 0)) == 2 - 6 + 9  # length-2 working path, one mismatch
-
-
 def test_qubo_text_round_trip_values():
     inst = tight_example(2, 3)
     q = build_qubo(inst, build_conflict_sets(inst), 1, 6, 7)
