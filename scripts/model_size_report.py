@@ -39,9 +39,9 @@ def main() -> int:
                 continue
             conflicts = build_conflict_sets(inst)
             counts = count_constraints(inst, conflicts, build_strong_groups(inst))
+            c1, c2, c3, c4 = conflicts.class_counts
             print(
-                f"{lam},{req},{counts.variables},{len(conflicts.c1)},{len(conflicts.c2)},"
-                f"{len(conflicts.c3)},{len(conflicts.c4)},{counts.base_constraints},"
+                f"{lam},{req},{counts.variables},{c1},{c2},{c3},{c4},{counts.base_constraints},"
                 f"{counts.strong_constraints},{counts.base_ratio:.2f},{counts.strong_ratio:.3f}"
             )
     return 0

@@ -48,11 +48,12 @@ def _cmd_conflicts(args) -> int:
     conflicts = build_conflict_sets(inst)
     strong = build_strong_groups(inst)
     counts = count_constraints(inst, conflicts, strong)
+    c1, c2, c3, c4 = conflicts.class_counts
     data = {
-        "c1": len(conflicts.c1),
-        "c2": len(conflicts.c2),
-        "c3": len(conflicts.c3),
-        "c4": len(conflicts.c4),
+        "c1": c1,
+        "c2": c2,
+        "c3": c3,
+        "c4": c4,
         "variables": counts.variables,
         "base_constraints": counts.base_constraints,
         "strong_constraints": counts.strong_constraints,

@@ -50,6 +50,11 @@ class ConflictSets:
     def pair_count(self) -> int:
         return len(self.classes)
 
+    @property
+    def class_counts(self) -> list[int]:
+        """Row counts of classes 1..4, the lengths of c1..c4."""
+        return np.bincount(self.classes, minlength=5)[1:].tolist()
+
     def hits(self, bits) -> np.ndarray:
         """Rows whose two variables are both set in bits."""
         on = np.asarray(bits, dtype=bool)
@@ -196,7 +201,7 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(instance.n_vars):
         lp = instance.lightpath_at(i)
-        for e in lp.links:
+        for e in dict.fromkeys(lp.links):  # a walk may repeat a link
             groups.setdefault((e, lp.wavelength), []).append(i)
     return StrongGroups(
         pbar=pbar,

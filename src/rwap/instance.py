@@ -208,6 +208,16 @@ def f_beta(instance: Instance, solution: Solution | Sequence[int]) -> int:
     return sum(1 for i, b in enumerate(bits) if b and instance.var_info(i)[1] == WORKING)
 
 
+def objective_coefficients(instance: Instance, alpha: int, beta: int) -> list[int]:
+    """Per-variable coefficient of alpha * links_used - beta * requests_granted:
+    alpha * length, less beta for a working variable."""
+    coefficients = []
+    for req in instance.requests:
+        coefficients += [alpha * lp.length - beta for lp in req.working]
+        coefficients += [alpha * lp.length for lp in req.protection]
+    return coefficients
+
+
 def ip_objective(instance: Instance, solution: Solution | Sequence[int], alpha: int, beta: int) -> int:
     """Weighted objective alpha * links_used - beta * requests_granted."""
     if alpha < 0 or beta < 0:

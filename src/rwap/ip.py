@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conflicts import ConflictSets, StrongGroups
-from .instance import Instance, PROTECTION, WORKING, write_atomic
+from .instance import Instance, PROTECTION, WORKING, objective_coefficients, write_atomic
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ def build_ip(
     """Materialize the base (pairwise) or strong (grouped) model."""
     if alpha < 0 or beta < 0:
         raise ValueError("weights must be non-negative")
-    objective = tuple(
-        alpha * instance.lightpath_at(i).length - (beta if instance.var_info(i)[1] == WORKING else 0)
-        for i in range(instance.n_vars)
-    )
     rows = _common_rows(instance)
     if kind == "base":
         if not isinstance(structure, ConflictSets):
@@ -90,7 +86,7 @@ def build_ip(
         raise ValueError(f"unknown model kind {kind!r}")
     return LinearModel(
         kind=kind,
-        objective=objective,
+        objective=tuple(objective_coefficients(instance, alpha, beta)),
         constraints=tuple(rows),
         var_names=variable_names(instance),
     )

@@ -143,8 +143,8 @@ def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:
         return Solution.zeros(0), qubo.constant
     lin = np.asarray(qubo.linear, dtype=np.int64)
     upper = np.zeros((n, n), dtype=np.int64)
-    for (i, j), q in qubo.quadratic.items():
-        upper[i, j] = q
+    qi, qj, qv = qubo.pair_arrays()
+    upper[qi, qj] = qv
     best: tuple[int, int] | None = None  # (energy, index)
     total = 1 << n
     for start in range(0, total, 1 << CHUNK_BITS):

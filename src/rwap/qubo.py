@@ -15,6 +15,7 @@ every infeasible vector strictly above every feasible one.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,12 +25,11 @@ from .conflicts import ConflictSets
 from .instance import (
     DimensionError,
     Instance,
-    PROTECTION,
     Solution,
-    WORKING,
     _check_dims,
     f_alpha,
     f_beta,
+    objective_coefficients,
     request_counts,
     write_atomic,
 )
@@ -59,56 +59,102 @@ def rho_base(instance: Instance, alpha: int, beta: int) -> RhoBound:
     return RhoBound(rho=rho, raw_bound=bound, clamped=False)
 
 
+class PairTerms(Mapping):
+    """Read-only ``{(i, j): q}`` view of pair coefficients stored as three
+    int64 arrays, with i < j and the keys (i, j) in ascending order."""
+
+    __slots__ = ("i", "j", "q")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, q: np.ndarray) -> None:
+        for arr in (i, j, q):
+            arr.setflags(write=False)
+        self.i, self.j, self.q = i, j, q
+
+    @classmethod
+    def from_mapping(cls, terms: Mapping[tuple[int, int], int], n: int) -> "PairTerms":
+        """Sorted arrays of a hand-given mapping, whose keys must be (i, j)
+        with 0 <= i < j < n."""
+        for i, j in terms:
+            if not 0 <= i < j < n:
+                raise ValueError(f"pair key {(i, j)} needs 0 <= i < j < {n}")
+        items = sorted(terms.items())
+        i = np.array([ij[0] for ij, _ in items], dtype=np.int64)
+        j = np.array([ij[1] for ij, _ in items], dtype=np.int64)
+        return cls(i, j, np.array([q for _, q in items], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist())
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        a, b = key
+        lo, hi = np.searchsorted(self.i, (a, a + 1)).tolist()
+        k = lo + int(np.searchsorted(self.j[lo:hi], b))
+        if k == hi or self.j[k] != b:
+            raise KeyError(key)
+        return int(self.q[k])
+
+    def items(self) -> ItemsView:
+        return _PairItems(self)
+
+    def __repr__(self) -> str:
+        return f"PairTerms({len(self)} pairs)"
+
+
+class _PairItems(ItemsView):
+    def __iter__(self):
+        return zip(iter(self._mapping), self._mapping.q.tolist())
+
+
 @dataclass(frozen=True)
 class QuboModel:
-    """Integer quadratic form with upper-triangular pair storage (i < j)."""
+    """Integer quadratic form with upper-triangular pair storage (i < j).
+
+    A hand-given ``quadratic`` mapping is stored as ``PairTerms``.
+    """
 
     n: int
     linear: tuple[int, ...]
-    quadratic: dict[tuple[int, int], int]
+    quadratic: Mapping[tuple[int, int], int]
     constant: int
     rho: int
     alpha: int
     beta: int
     _adj: tuple | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.quadratic, PairTerms):
+            object.__setattr__(self, "quadratic", PairTerms.from_mapping(self.quadratic, self.n))
+
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetric CSR-style (indptr, indices, data) over the pair terms."""
+        """Symmetric CSR-style (indptr, indices, data) over the pair terms,
+        each row's columns ascending."""
         if self._adj is None:
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[int] = []
-            for (i, j), q in self.quadratic.items():
-                rows += [i, j]
-                cols += [j, i]
-                vals += [q, q]
-            row_arr = np.array(rows, dtype=np.int64)
-            col_arr = np.array(cols, dtype=np.int64)
-            val_arr = np.array(vals, dtype=np.int64)
-            order = np.lexsort((col_arr, row_arr))
-            row_arr, col_arr, val_arr = row_arr[order], col_arr[order], val_arr[order]
+            qi, qj, qv = self.pair_arrays()
+            rows = np.concatenate((qi, qj))
+            cols = np.concatenate((qj, qi))
+            order = np.argsort(rows * self.n + cols)
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, row_arr + 1, 1)
-            indptr = np.cumsum(indptr)
-            object.__setattr__(self, "_adj", (indptr, col_arr, val_arr))
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            object.__setattr__(self, "_adj", (indptr, cols[order], np.concatenate((qv, qv))[order]))
         return self._adj
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        items = sorted(self.quadratic.items())
-        qi = np.array([ij[0] for ij, _ in items], dtype=np.int64)
-        qj = np.array([ij[1] for ij, _ in items], dtype=np.int64)
-        qv = np.array([q for _, q in items], dtype=np.int64)
-        return qi, qj, qv
+        """The stored (i, j, q) arrays, read-only, keys ascending."""
+        return self.quadratic.i, self.quadratic.j, self.quadratic.q
 
     def energy(self, bits: Solution | Sequence[int]) -> int:
         raw = bits.bits if isinstance(bits, Solution) else bits
         if len(raw) != self.n:
             raise DimensionError(f"bit vector has {len(raw)} bits, model has {self.n} variables")
-        total = self.constant + sum(c for i, c in enumerate(self.linear) if raw[i])
-        for (i, j), q in self.quadratic.items():
-            if raw[i] and raw[j]:
-                total += q
-        return int(total)
+        qi, qj, qv = self.pair_arrays()
+        on = np.asarray(raw, dtype=bool)
+        total = self.constant + sum(c for c, b in zip(self.linear, raw) if b)
+        return total + int(qv[on[qi] & on[qj]].sum())
 
 
 def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta: int, rho: int) -> QuboModel:
@@ -122,42 +168,39 @@ def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta
         raise ValueError("rho must be a positive integer")
 
     n = instance.n_vars
-    linear = [0] * n
-    quad: dict[tuple[int, int], int] = {}
+    # squared working/protection count difference, plus count * (count - 1)
+    # over working bits: rho on every variable, and per request 4 rho on a
+    # working pair, 2 rho on a protection pair, -2 rho on a mixed pair
+    linear = tuple(c + rho for c in objective_coefficients(instance, alpha, beta))
 
-    def add_pair(i: int, j: int, coeff: int) -> None:
-        key = (i, j) if i < j else (j, i)
-        quad[key] = quad.get(key, 0) + coeff
+    # a request's variables are one block, working first; every pair inside
+    # a block, in key order: variable a pairs with the after[a] variables
+    # that follow it in its block, and (a, b) lands in slot b - shift[a]
+    sizes = np.array([len(req.working) + len(req.protection) for req in instance.requests], dtype=np.int64)
+    end = np.repeat(sizes.cumsum(), sizes)
+    succ = np.arange(1, n + 1)  # a + 1 for each variable a
+    after = end - succ
+    shift = succ - (after.cumsum() - after)
+    qi = np.repeat(succ - 1, after)
+    qj = np.arange(len(qi)) + shift[qi]
+    working = instance.working_mask()
+    qv = np.where(working[qj], 4 * rho, np.where(working[qi], -2 * rho, 2 * rho))
 
-    for i in range(n):
-        _, kind, _ = instance.var_info(i)
-        linear[i] += alpha * instance.lightpath_at(i).length - (beta if kind == WORKING else 0)
-
-    for req in instance.requests:
-        wvars = instance.var_range(req.id, WORKING)
-        pvars = instance.var_range(req.id, PROTECTION)
-        # squared working/protection count difference, plus count * (count - 1)
-        # over working bits, which is purely pairwise on binaries
-        for v in [*wvars, *pvars]:
-            linear[v] += rho
-        for a in range(len(wvars)):
-            for b in range(a + 1, len(wvars)):
-                add_pair(wvars[a], wvars[b], 4 * rho)
-        for a in range(len(pvars)):
-            for b in range(a + 1, len(pvars)):
-                add_pair(pvars[a], pvars[b], 2 * rho)
-        for vw in wvars:
-            for vp in pvars:
-                add_pair(vw, vp, -2 * rho)
-
-    for i, j in zip(conflict_sets.first.tolist(), conflict_sets.second.tolist()):
-        add_pair(i, j, rho)
-
-    quad = {key: coeff for key, coeff in sorted(quad.items()) if coeff != 0}
+    # each conflict pair adds rho: to its block slot within a request, else
+    # as a pair of its own; with rho >= 1 no coefficient sums to zero
+    lo = np.minimum(conflict_sets.first, conflict_sets.second)
+    hi = np.maximum(conflict_sets.first, conflict_sets.second)
+    inside = hi < end[lo]
+    qv[hi[inside] - shift[lo[inside]]] += rho
+    outside = ~inside
+    qi = np.concatenate((qi, lo[outside]))
+    qj = np.concatenate((qj, hi[outside]))
+    qv = np.concatenate((qv, np.full(len(qi) - len(qv), rho, dtype=np.int64)))
+    order = np.argsort(qi * n + qj)
     return QuboModel(
         n=n,
-        linear=tuple(linear),
-        quadratic=quad,
+        linear=linear,
+        quadratic=PairTerms(qi[order], qj[order], qv[order]),
         constant=0,
         rho=rho,
         alpha=alpha,
@@ -207,7 +250,7 @@ def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var
         raise IndexError(f"variable index {var_index} out of range for {qubo.n} variables")
     indptr, indices, data = qubo.adjacency()
     lo, hi = indptr[var_index], indptr[var_index + 1]
-    cross = int(sum(int(data[k]) for k in range(lo, hi) if raw[indices[k]]))
+    cross = sum(q for k, q in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()) if raw[k])
     partial = int(qubo.linear[var_index]) + cross
     return partial if not raw[var_index] else -partial
 
@@ -246,8 +289,8 @@ def qubo_text(model: QuboModel) -> str:
     for i, c in enumerate(model.linear):
         if c:
             lines.append(f"{i} {i} {c}")
-    for (i, j), q in sorted(model.quadratic.items()):
-        lines.append(f"{i} {j} {q}")
+    qi, qj, qv = model.pair_arrays()
+    lines += [f"{i} {j} {q}" for i, j, q in zip(qi.tolist(), qj.tolist(), qv.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from rwap.anneal import AnnealConfig, anneal, repair, solve_rwap_da
 from rwap.bench import BenchTask, run_bench
@@ -168,6 +169,7 @@ def test_criterion_6_base_strong_equivalence_and_size_gap():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_annealer_reaches_optimum_at_desk_scale():
     started = time.perf_counter()
     instance_hits = 0
@@ -298,6 +300,7 @@ def test_criterion_11_determinism_across_worker_counts():
     _report("criterion 11 (seeded determinism under 1 and N workers)", f"{time.perf_counter() - started:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_12_scale_smoke_annealer_vs_greedy():
     started = time.perf_counter()
     # 15 wavelengths x 100 requests x 2 paths per kind = 6000 variables, within

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
+from rwap.gen import generate, synth_topology
 from rwap.instance import Instance, Lightpath, Network, PROTECTION, Request, WORKING
+from rwap.ip import build_ip
+from rwap.oracle import branch_and_bound, brute_force_ip
 from rwap.weights import tight_example
 
 from helpers import hand_network, random_bits, small_instance
@@ -155,3 +158,29 @@ def test_c3_includes_same_request_distinct_lightpaths():
     inst = Instance(network=net, wavelength_count=1, requests=(req,))
     cs = build_conflict_sets(inst)
     assert (0, 0, 0, 1) in cs.c3  # same request, two distinct working paths
+
+
+def test_walk_repeating_a_link_is_one_strong_group_member():
+    # two nodes; the working walk 0->1->0->1 uses link 0 twice, protection
+    # takes the parallel link 2; granting both bits is feasible
+    net = Network(node_count=2, links=((0, 1), (1, 0), (0, 1)))
+    req = Request(id=0, source=0, destination=1, working=(Lightpath((0, 1, 0), 0),), protection=(Lightpath((2,), 0),))
+    inst = Instance(network=net, wavelength_count=1, requests=(req,))
+    cs = build_conflict_sets(inst)
+    strong = build_strong_groups(inst)
+    assert strong.groups[(0, 0)] == (0,)
+    assert count_constraints(inst, cs, strong).strong_constraints == 3
+    assert brute_force_ip(inst, cs, 1, 10).solution.bits == (1, 1)
+    assert branch_and_bound(inst, strong, 1, 10).solution.bits == (1, 1)
+    for row in build_ip(inst, strong, 1, 10, kind="strong").constraints:
+        lhs = sum(coeff for _, coeff in row.terms)
+        assert lhs == row.rhs if row.relation == "=" else lhs <= row.rhs
+
+
+def test_class_counts_are_family_lengths(figure1_conflicts):
+    generated = build_conflict_sets(generate(synth_topology(10, 1.6, seed=2), 3, 8, 2, seed=4))
+    assert min(generated.class_counts) > 0
+    for cs in (figure1_conflicts, generated):
+        assert cs.class_counts == [len(cs.c1), len(cs.c2), len(cs.c3), len(cs.c4)]
+    empty = Instance(network=Network(node_count=1, links=()), wavelength_count=1, requests=())
+    assert build_conflict_sets(empty).class_counts == [0, 0, 0, 0]
