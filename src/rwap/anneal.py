@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, make_report, request_counts
+from .instance import Instance, Solution, SolveReport, make_report, objective_coefficients, request_counts
 from .qubo import QuboModel, build_qubo
 
 
@@ -220,30 +220,30 @@ def _pair_energy(bits: np.ndarray, neighbours: list[np.ndarray], couplings: list
     return int(both.sum()) // 2  # each pair is met from both of its ends
 
 
-def _clearing_damage(instance: Instance, alpha: int, beta: int, index: int) -> int:
-    """Objective increase caused by clearing a set bit."""
-    _, kind, _ = instance.var_info(index)
-    length = instance.lightpath_at(index).length
-    return beta - alpha * length if kind == WORKING else -alpha * length
-
-
 def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alpha: int, beta: int) -> bool:
     """Greedily clear bits involved in violations, cheapest damage first.
 
-    Returns True when anything was cleared.  Terminates because every pass
-    clears one set bit and the all-zero vector is feasible.
+    The damage of clearing a set bit is the objective increase it causes,
+    the negated objective coefficient; ties go to the lower index.  Returns
+    True when anything was cleared.  Terminates because every pass clears
+    one set bit and the all-zero vector is feasible.
     """
+    damage = -objective_coefficients(instance, alpha, beta)
+    on = np.array(bits, dtype=bool)
     changed = False
     while True:
-        rows = conflict_sets.hits(bits)
-        involved = {*conflict_sets.first[rows].tolist(), *conflict_sets.second[rows].tolist()}
-        for r, (cw, cp) in enumerate(request_counts(instance, bits)):
-            if cw != cp or cw > 1:
-                involved.update(instance.var_range(r, WORKING), instance.var_range(r, PROTECTION))
-        if not involved:
+        rows = conflict_sets.hits(on)
+        cw, cp = request_counts(instance, on)
+        involved = ((cw != cp) | (cw > 1))[instance.request_of]
+        involved[conflict_sets.first[rows]] = True
+        involved[conflict_sets.second[rows]] = True
+        # every violated constraint holds a set bit
+        candidates = (involved & on).nonzero()[0]
+        if not candidates.size:
             return changed
-        target = min((i for i in involved if bits[i]), key=lambda i: (_clearing_damage(instance, alpha, beta, i), i))
+        target = int(candidates[damage[candidates].argmin()])
         bits[target] = 0
+        on[target] = False
         changed = True
 
 

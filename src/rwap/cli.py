@@ -11,7 +11,7 @@ from .anneal import AnnealConfig, anneal, decode_result
 from .conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from .gen import generate, synth_topology
 from .heuristic import RsConfig, rs_heur
-from .instance import DimensionError, Solution, load_instance, report_to_dict, save_instance, verify_feasible
+from .instance import Solution, load_instance, report_to_dict, save_instance, verify_feasible, write_atomic
 from .ip import build_ip, export_lp
 from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
 from .qubo import build_qubo, export_qubo, rho_base
@@ -141,8 +141,7 @@ def _cmd_solve(args) -> int:
     payload = report_to_dict(report)
     text = json.dumps(payload, indent=1)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_atomic(args.output, text + "\n")
     print(text)
     return 0
 
@@ -151,11 +150,10 @@ def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     with open(args.solution, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    solution = Solution.from_string(payload["bits"])
     conflicts = build_conflict_sets(inst)
     try:
-        verdict = verify_feasible(inst, conflicts, solution)
-    except DimensionError as exc:
+        verdict = verify_feasible(inst, conflicts, Solution.from_string(payload["bits"]))
+    except ValueError as exc:  # bits other than 0/1, or the wrong number of them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if verdict.feasible:
@@ -205,8 +203,7 @@ def _cmd_bench(args) -> int:
     rows = bench_mod.run_bench(tasks)
     text = bench_mod.rows_to_csv(rows) if args.format == "csv" else bench_mod.rows_to_json(rows)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(args.output, text)
     else:
         print(text, end="")
     failures = [r for r in rows if r.get("error")]

@@ -60,15 +60,19 @@ class ConflictSets:
         on = np.asarray(bits, dtype=bool)
         return (on[self.first] & on[self.second]).nonzero()[0]
 
-    def conflict_tuple(self, row: int) -> tuple[int, ...]:
-        """Row ``row`` as its c1..c4 tuple."""
-        r1, _, l1 = self.instance.var_info(int(self.first[row]))
-        r2, _, l2 = self.instance.var_info(int(self.second[row]))
-        return (r1, l1, l2) if self.classes[row] == 1 else (r1, r2, l1, l2)
+    def conflict_tuples(self, rows: np.ndarray) -> list[tuple[int, ...]]:
+        """The c1..c4 tuple of each row in rows."""
+        inst = self.instance
+        a, b = self.first[rows], self.second[rows]
+        columns = (inst.request_of[a], inst.request_of[b], inst.local_of(a), inst.local_of(b))
+        return [
+            (r1, l1, l2) if cls == 1 else (r1, r2, l1, l2)
+            for cls, r1, r2, l1, l2 in zip(self.classes[rows].tolist(), *(c.tolist() for c in columns))
+        ]
 
     def _family(self, cls: int) -> tuple[tuple[int, ...], ...]:
         lo, hi = np.searchsorted(self.classes, (cls, cls + 1)).tolist()
-        return tuple(self.conflict_tuple(row) for row in range(lo, hi))
+        return tuple(self.conflict_tuples(np.arange(lo, hi)))
 
     @cached_property
     def c1(self) -> tuple[tuple[int, int, int], ...]:
@@ -105,27 +109,23 @@ def build_conflict_sets(instance: Instance) -> ConflictSets:
     # requests * variables stays below 1.3e9.
     nn = n * n
     span = n_req * n_req * nn
-    hi: list[int] = []
-    lo: list[int] = []
-    request_of: list[int] = []
+    request_of = instance.request_of.tolist()
+    hi = [(r * n_req * n + i) * n for i, r in enumerate(request_of)]
+    lo = [r * nn + i for i, r in enumerate(request_of)]
+    blocks = instance.bounds.tolist()
     slots: dict[int, tuple[list[int], list[int]]] = {}  # slot -> (working, protection) variables
     keys: set[int] = set()
     wavelengths = instance.wavelength_count
     for r, req in enumerate(instance.requests):
-        w0 = len(hi)
-        for kind, lightpaths in ((WORKING, req.working), (PROTECTION, req.protection)):
-            for lp in lightpaths:
-                i = len(hi)
-                hi.append((r * n_req * n + i) * n)
-                lo.append(r * nn + i)
-                request_of.append(r)
+        for kind in (WORKING, PROTECTION):
+            for i, lp in enumerate(req.lightpaths(kind), blocks[2 * r + kind]):
                 for e in set(lp.links):
                     slot = e * wavelengths + lp.wavelength
                     group = slots.get(slot)
                     if group is None:
                         slots[slot] = group = ([], [])
                     group[kind].append(i)
-        p0 = w0 + len(req.working)
+        w0, p0 = blocks[2 * r : 2 * r + 2]
         for w, plist in enumerate(_overlapping_protections(req)):
             c1 = span + hi[w0 + w]
             for p in plist:
@@ -199,10 +199,12 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
     }
 
     groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(instance.n_vars):
-        lp = instance.lightpath_at(i)
-        for e in dict.fromkeys(lp.links):  # a walk may repeat a link
-            groups.setdefault((e, lp.wavelength), []).append(i)
+    blocks = instance.bounds.tolist()
+    for req in instance.requests:
+        for kind in (WORKING, PROTECTION):
+            for i, lp in enumerate(req.lightpaths(kind), blocks[2 * req.id + kind]):
+                for e in dict.fromkeys(lp.links):  # a walk may repeat a link
+                    groups.setdefault((e, lp.wavelength), []).append(i)
     return StrongGroups(
         pbar=pbar,
         groups={key: tuple(sorted(members)) for key, members in sorted(groups.items())},
@@ -233,7 +235,7 @@ class ConstraintCounts:
 
 def count_constraints(instance: Instance, conflict_sets: ConflictSets, strong: StrongGroups) -> ConstraintCounts:
     n_req = len(instance.requests)
-    n_working = sum(len(req.working) for req in instance.requests)
+    n_working = int(np.count_nonzero(instance.working))
     return ConstraintCounts(
         variables=instance.n_vars,
         base_constraints=2 * n_req + conflict_sets.pair_count,

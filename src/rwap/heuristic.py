@@ -35,21 +35,21 @@ class RsConfig:
 class _PathGroup:
     links: tuple[int, ...]
     length: int
-    by_wavelength: dict[int, int]  # wavelength -> local lightpath index
+    by_wavelength: dict[int, int]  # wavelength -> variable index
 
     @property
     def wavelengths(self) -> list[int]:
         return sorted(self.by_wavelength)
 
 
-def _path_groups(lightpaths) -> list[_PathGroup]:
+def _path_groups(lightpaths, variables: range) -> list[_PathGroup]:
     order: list[tuple[int, ...]] = []
     table: dict[tuple[int, ...], dict[int, int]] = {}
-    for local, lp in enumerate(lightpaths):
+    for i, lp in zip(variables, lightpaths):
         if lp.links not in table:
             table[lp.links] = {}
             order.append(lp.links)
-        table[lp.links].setdefault(lp.wavelength, local)
+        table[lp.links].setdefault(lp.wavelength, i)
     return [_PathGroup(links=key, length=len(key), by_wavelength=table[key]) for key in order]
 
 
@@ -64,8 +64,8 @@ class _RequestPairs:
 def _prepare(instance: Instance) -> list[_RequestPairs]:
     prepared = []
     for req in instance.requests:
-        wgroups = _path_groups(req.working)
-        pgroups = _path_groups(req.protection)
+        wgroups = _path_groups(req.working, instance.var_range(req.id, WORKING))
+        pgroups = _path_groups(req.protection, instance.var_range(req.id, PROTECTION))
         pairs = [
             (wi, pi)
             for wi, wg in enumerate(wgroups)
@@ -131,8 +131,8 @@ def rs_heur(
             if assigned is None:
                 continue
             wg, lw, pg, lp = assigned
-            bits[instance.var_of(rid, WORKING, wg.by_wavelength[lw])] = 1
-            bits[instance.var_of(rid, PROTECTION, pg.by_wavelength[lp])] = 1
+            bits[wg.by_wavelength[lw]] = 1
+            bits[pg.by_wavelength[lp]] = 1
             occupied.update((e, lw) for e in wg.links)
             occupied.update((e, lp) for e in pg.links)
             granted += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -99,62 +99,77 @@ class Instance:
     """Network, wavelength set and requests, with the dense variable order.
 
     Variables are ordered deterministically: requests by id, working
-    lightpaths before protection lightpaths, local index ascending.
+    lightpaths before protection lightpaths, local index ascending.  The
+    order is stored once, as read-only arrays: ``lengths`` (int64),
+    ``working`` (bool) and ``request_of`` (int64) per variable, and
+    ``bounds`` (int64), the 2R + 1 block starts: request r's working block
+    starts at ``bounds[2r]``, its protection block at ``bounds[2r + 1]``,
+    and ``bounds[-1]`` is ``n_vars``.
     """
 
     network: Network
     wavelength_count: int
     requests: tuple[Request, ...]
-    _vars: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    _offsets: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    working: np.ndarray = field(init=False, repr=False, compare=False)
+    request_of: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.wavelength_count < 0:
             raise InstanceError("wavelength_count must be non-negative")
-        order: list[tuple[int, int, int]] = []
-        offsets: dict[tuple[int, int], int] = {}
+        lengths: list[int] = []
+        working: list[bool] = []
+        request_of: list[int] = []
+        bounds = [0]
         for pos, req in enumerate(self.requests):
             if req.id != pos:
                 raise InstanceError(f"request ids must be dense and ordered; got {req.id} at {pos}")
             for kind in (WORKING, PROTECTION):
-                offsets[(req.id, kind)] = len(order)
                 for local, lp in enumerate(req.lightpaths(kind)):
                     label = f"request {req.id} {'working' if kind == WORKING else 'protection'}[{local}]"
                     _check_lightpath(self.network, req, lp, label, self.wavelength_count)
-                    order.append((req.id, kind, local))
-        object.__setattr__(self, "_vars", tuple(order))
-        object.__setattr__(self, "_offsets", offsets)
+                    lengths.append(lp.length)
+                    working.append(kind == WORKING)
+                    request_of.append(pos)
+                bounds.append(len(lengths))
+        columns = {"lengths": lengths, "working": working, "request_of": request_of, "bounds": bounds}
+        for name, values in columns.items():
+            arr = np.array(values, dtype=bool if name == "working" else np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_vars(self) -> int:
-        return len(self._vars)
+        return len(self.lengths)
 
     def var_of(self, request_id: int, kind: int, local: int) -> int:
-        base = self._offsets[(request_id, kind)]
-        if not 0 <= local < len(self.requests[request_id].lightpaths(kind)):
+        block = self.var_range(request_id, kind)
+        if not 0 <= local < len(block):
             raise IndexError(f"no lightpath {local} for request {request_id} kind {kind}")
-        return base + local
+        return block[local]
 
     def var_range(self, request_id: int, kind: int) -> range:
         """Dense indices of one request's lightpaths of one kind."""
-        base = self._offsets[(request_id, kind)]
-        return range(base, base + len(self.requests[request_id].lightpaths(kind)))
+        if not (0 <= request_id < len(self.requests) and kind in (WORKING, PROTECTION)):
+            raise KeyError(f"no variable block for request {request_id} kind {kind}")
+        block = 2 * request_id + kind
+        return range(*self.bounds[block : block + 2].tolist())
 
     def var_info(self, index: int) -> tuple[int, int, int]:
         """Map a dense variable index back to (request id, kind, local index)."""
-        return self._vars[index]
+        index = range(self.n_vars)[index]  # IndexError when out of range, as for a tuple
+        r = int(self.request_of[index])
+        start, middle = self.bounds[2 * r : 2 * r + 2].tolist()
+        return (r, WORKING, index - start) if index < middle else (r, PROTECTION, index - middle)
+
+    def local_of(self, index: np.ndarray) -> np.ndarray:
+        """Local lightpath index of each variable in index."""
+        return index - self.bounds[2 * self.request_of[index] + ~self.working[index]]
 
     def lightpath_at(self, index: int) -> Lightpath:
-        r, kind, local = self._vars[index]
+        r, kind, local = self.var_info(index)
         return self.requests[r].lightpaths(kind)[local]
-
-    def lengths_array(self) -> np.ndarray:
-        """Lightpath lengths per variable, int64."""
-        return np.array([self.lightpath_at(i).length for i in range(self.n_vars)], dtype=np.int64)
-
-    def working_mask(self) -> np.ndarray:
-        """Boolean mask of working variables."""
-        return np.array([kind == WORKING for (_, kind, _) in self._vars], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -189,40 +204,39 @@ class Solution:
         return len(self.bits)
 
 
-def _check_dims(instance: Instance, solution: Solution | Sequence[int]) -> Sequence[int]:
+def _selected(instance: Instance, solution: Solution | Sequence[int]) -> np.ndarray:
+    """The solution's bits as a bool array, checked against the variable count."""
     bits = solution.bits if isinstance(solution, Solution) else solution
     if len(bits) != instance.n_vars:
         raise DimensionError(f"solution has {len(bits)} bits, instance has {instance.n_vars} variables")
-    return bits
+    return np.asarray(bits, dtype=bool)
 
 
 def f_alpha(instance: Instance, solution: Solution | Sequence[int]) -> int:
     """Total number of links used by the selected lightpaths."""
-    bits = _check_dims(instance, solution)
-    return sum(instance.lightpath_at(i).length for i, b in enumerate(bits) if b)
+    return int(instance.lengths @ _selected(instance, solution))
 
 
 def f_beta(instance: Instance, solution: Solution | Sequence[int]) -> int:
     """Number of requests granted, i.e. the count of selected working bits."""
-    bits = _check_dims(instance, solution)
-    return sum(1 for i, b in enumerate(bits) if b and instance.var_info(i)[1] == WORKING)
+    return int(np.count_nonzero(instance.working & _selected(instance, solution)))
 
 
-def objective_coefficients(instance: Instance, alpha: int, beta: int) -> list[int]:
+def objective_coefficients(instance: Instance, alpha: int, beta: int) -> np.ndarray:
     """Per-variable coefficient of alpha * links_used - beta * requests_granted:
-    alpha * length, less beta for a working variable."""
-    coefficients = []
-    for req in instance.requests:
-        coefficients += [alpha * lp.length - beta for lp in req.working]
-        coefficients += [alpha * lp.length for lp in req.protection]
-    return coefficients
+    alpha * length, less beta for a working variable (int64)."""
+    return alpha * instance.lengths - np.where(instance.working, beta, 0)
+
+
+def _weighted(links: int, granted: int, alpha: int, beta: int) -> int:
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be non-negative integers")
+    return alpha * links - beta * granted
 
 
 def ip_objective(instance: Instance, solution: Solution | Sequence[int], alpha: int, beta: int) -> int:
     """Weighted objective alpha * links_used - beta * requests_granted."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be non-negative integers")
-    return alpha * f_alpha(instance, solution) - beta * f_beta(instance, solution)
+    return _weighted(f_alpha(instance, solution), f_beta(instance, solution), alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -244,14 +258,30 @@ class Verdict:
     violations: tuple[Violation, ...]
 
 
-def request_counts(instance: Instance, bits: Sequence[int]) -> list[tuple[int, int]]:
-    """Selected (working, protection) lightpath counts per request."""
-    counts = []
-    for req in instance.requests:
-        w = instance._offsets[(req.id, WORKING)]
-        p = w + len(req.working)  # protection follows working
-        counts.append((sum(bits[w:p]), sum(bits[p : p + len(req.protection)])))
-    return counts
+def request_counts(instance: Instance, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Selected working and protection lightpath counts per request, as two
+    int64 arrays; bits may be one bit vector or a stack of them (last axis)."""
+    bits = np.asarray(bits)
+    at = np.zeros(bits.shape[:-1] + (instance.n_vars + 1,), dtype=np.int64)
+    np.add.accumulate(bits, -1, np.int64, at[..., 1:])
+    # a cumsum difference, not np.add.reduceat, which is wrong on empty blocks
+    at = at.take(instance.bounds, -1)
+    counts = at[..., 1:] - at[..., :-1]
+    return counts[..., 0::2], counts[..., 1::2]
+
+
+def _violations(instance: Instance, conflict_sets, on: np.ndarray) -> tuple[list[Violation], np.ndarray]:
+    """The violated constraints of a bool bit vector, and its working counts."""
+    cw, cp = request_counts(instance, on)
+    eq2, eq3 = cw != cp, cw > 1
+    violations = []
+    for r in (eq2 | eq3).nonzero()[0].tolist():
+        violations += [Violation(kind, (r,)) for kind, bad in (("eq2", eq2[r]), ("eq3", eq3[r])) if bad]
+    rows = conflict_sets.hits(on)
+    if rows.size:
+        classes = conflict_sets.classes[rows].tolist()
+        violations += [Violation(f"c{c}", t) for c, t in zip(classes, conflict_sets.conflict_tuples(rows))]
+    return violations, cw
 
 
 def verify_feasible(instance: Instance, conflict_sets, solution: Solution | Sequence[int]) -> Verdict:
@@ -260,15 +290,7 @@ def verify_feasible(instance: Instance, conflict_sets, solution: Solution | Sequ
     Returns every violated constraint: per-request working/protection count
     equality, the at-most-one-working rule, and all four conflict classes.
     """
-    bits = _check_dims(instance, solution)
-    violations: list[Violation] = []
-    for r, (cw, cp) in enumerate(request_counts(instance, bits)):
-        if cw != cp:
-            violations.append(Violation("eq2", (r,)))
-        if cw > 1:
-            violations.append(Violation("eq3", (r,)))
-    for row in conflict_sets.hits(bits).tolist():
-        violations.append(Violation(f"c{conflict_sets.classes[row]}", conflict_sets.conflict_tuple(row)))
+    violations, _ = _violations(instance, conflict_sets, _selected(instance, solution))
     return Verdict(feasible=not violations, violations=tuple(violations))
 
 
@@ -305,18 +327,19 @@ def make_report(
     **extra,
 ) -> SolveReport:
     """Evaluate a solution and assemble the common report fields."""
-    verdict = verify_feasible(instance, conflict_sets, solution)
-    granted = tuple(r for r, (cw, _) in enumerate(request_counts(instance, solution.bits)) if cw)
+    on = _selected(instance, solution)
+    violations, cw = _violations(instance, conflict_sets, on)
+    links, granted = int(instance.lengths @ on), int(cw.sum())
     return SolveReport(
         method=method,
         solution=solution,
-        granted=granted,
-        f_alpha=f_alpha(instance, solution),
-        f_beta=f_beta(instance, solution),
-        objective=ip_objective(instance, solution, alpha, beta),
+        granted=tuple(cw.nonzero()[0].tolist()),
+        f_alpha=links,
+        f_beta=granted,
+        objective=_weighted(links, granted, alpha, beta),
         alpha=alpha,
         beta=beta,
-        feasible=verdict.feasible,
+        feasible=not violations,
         **extra,
     )
 
@@ -377,9 +400,11 @@ def load_instance(path: str) -> Instance:
 
 def write_atomic(destination: str, text: str) -> None:
     """Write text to destination through a temp file and a rename, so a
-    failed write leaves no partial file behind."""
-    directory = os.path.dirname(os.path.abspath(destination))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    failed write leaves no partial file behind.  The file gets the mode a
+    plain ``open`` gives a new file: 0o666 less the umask."""
+    directory, name = os.path.split(os.path.abspath(destination))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -391,9 +416,7 @@ def write_atomic(destination: str, text: str) -> None:
 
 
 def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(instance_to_dict(instance), indent=1) + "\n")
 
 
 def report_to_dict(report: SolveReport) -> dict:

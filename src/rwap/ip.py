@@ -34,23 +34,23 @@ class LinearModel:
 
 
 def variable_names(instance: Instance) -> tuple[str, ...]:
-    names = []
-    for i in range(instance.n_vars):
-        r, kind, local = instance.var_info(i)
-        names.append(f"x_r{r}_w{local}" if kind == WORKING else f"y_r{r}_p{local}")
-    return tuple(names)
+    blocks = instance.bounds.tolist()
+    return tuple(
+        f"x_r{block // 2}_w{local}" if block % 2 == WORKING else f"y_r{block // 2}_p{local}"
+        for block, (start, stop) in enumerate(zip(blocks, blocks[1:]))
+        for local in range(stop - start)
+    )
 
 
 def _common_rows(instance: Instance) -> list[Constraint]:
-    rows = []
-    for req in instance.requests:
-        terms = [(instance.var_of(req.id, WORKING, w), 1) for w in range(len(req.working))]
-        terms += [(instance.var_of(req.id, PROTECTION, p), -1) for p in range(len(req.protection))]
-        rows.append(Constraint(name=f"match_r{req.id}", terms=tuple(terms), relation="=", rhs=0))
-    for req in instance.requests:
-        terms = tuple((instance.var_of(req.id, WORKING, w), 1) for w in range(len(req.working)))
-        rows.append(Constraint(name=f"single_r{req.id}", terms=terms, relation="<=", rhs=1))
-    return rows
+    blocks = instance.bounds.tolist()
+    match, single = [], []
+    for r in range(len(instance.requests)):
+        w, p, end = blocks[2 * r : 2 * r + 3]
+        terms = tuple((i, 1) for i in range(w, p))
+        match.append(Constraint(f"match_r{r}", terms + tuple((i, -1) for i in range(p, end)), "=", 0))
+        single.append(Constraint(f"single_r{r}", terms, "<=", 1))
+    return match + single
 
 
 def build_ip(
@@ -86,7 +86,7 @@ def build_ip(
         raise ValueError(f"unknown model kind {kind!r}")
     return LinearModel(
         kind=kind,
-        objective=tuple(objective_coefficients(instance, alpha, beta)),
+        objective=tuple(objective_coefficients(instance, alpha, beta).tolist()),
         constraints=tuple(rows),
         var_names=variable_names(instance),
     )

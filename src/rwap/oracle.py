@@ -10,8 +10,6 @@ not exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conflicts import ConflictSets, StrongGroups, build_conflict_sets
@@ -22,6 +20,7 @@ from .instance import (
     SolveReport,
     WORKING,
     make_report,
+    request_counts,
 )
 
 ENUMERATION_CAP = 24
@@ -40,31 +39,12 @@ def _bits_chunk(n: int, start: int, stop: int) -> np.ndarray:
     return ((ks[:, None] >> shifts) & 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class _FeasibilityTables:
-    working_members: np.ndarray  # (R, n) int8
-    protection_members: np.ndarray  # (R, n) int8
-    pair_i: np.ndarray  # conflict pair endpoints, int64
-    pair_j: np.ndarray
-
-
-def _tables(instance: Instance, conflict_sets: ConflictSets) -> _FeasibilityTables:
-    n = instance.n_vars
-    n_req = len(instance.requests)
-    wm = np.zeros((n_req, n), dtype=np.int8)
-    pm = np.zeros((n_req, n), dtype=np.int8)
-    for i in range(n):
-        r, kind, _ = instance.var_info(i)
-        (wm if kind == WORKING else pm)[r, i] = 1
-    return _FeasibilityTables(wm, pm, conflict_sets.first, conflict_sets.second)
-
-
-def _feasible_mask(tables: _FeasibilityTables, bits: np.ndarray) -> np.ndarray:
-    cw = bits.astype(np.int64) @ tables.working_members.T.astype(np.int64)
-    cp = bits.astype(np.int64) @ tables.protection_members.T.astype(np.int64)
+def _feasible_mask(instance: Instance, conflict_sets: ConflictSets, bits: np.ndarray) -> np.ndarray:
+    """Which rows of a stack of bit vectors satisfy every constraint."""
+    cw, cp = request_counts(instance, bits)
     ok = (cw == cp).all(axis=1) & (cw <= 1).all(axis=1)
-    if tables.pair_i.size:
-        ok &= ~((bits[:, tables.pair_i] & bits[:, tables.pair_j]).any(axis=1))
+    if conflict_sets.pair_count:
+        ok &= ~((bits[:, conflict_sets.first] & bits[:, conflict_sets.second]).any(axis=1))
     return ok
 
 
@@ -79,17 +59,14 @@ def feasible_objectives(
     """Link usage and granted count of every feasible bit vector."""
     n = instance.n_vars
     _check_cap(n, cap)
-    tables = _tables(instance, conflict_sets)
-    lengths = instance.lengths_array()
-    working = instance.working_mask().astype(np.int64)
+    working = instance.working.astype(np.int64)
     fa_parts: list[np.ndarray] = []
     fb_parts: list[np.ndarray] = []
     total = 1 << n
     for start in range(0, total, 1 << CHUNK_BITS):
         bits = _bits_chunk(n, start, min(total, start + (1 << CHUNK_BITS)))
-        ok = _feasible_mask(tables, bits)
-        sel = bits[ok].astype(np.int64)
-        fa_parts.append(sel @ lengths)
+        sel = bits[_feasible_mask(instance, conflict_sets, bits)].astype(np.int64)
+        fa_parts.append(sel @ instance.lengths)
         fb_parts.append(sel @ working)
     return np.concatenate(fa_parts), np.concatenate(fb_parts)
 
@@ -108,20 +85,18 @@ def brute_force_ip(
     """
     n = instance.n_vars
     _check_cap(n, cap)
-    tables = _tables(instance, conflict_sets)
-    lengths = instance.lengths_array()
-    working = instance.working_mask().astype(np.int64)
+    working = instance.working.astype(np.int64)
     best: tuple[int, int, int] | None = None  # (objective, f_alpha, index)
     total = 1 << n
     for start in range(0, total, 1 << CHUNK_BITS):
         stop = min(total, start + (1 << CHUNK_BITS))
         bits = _bits_chunk(n, start, stop)
-        ok = _feasible_mask(tables, bits)
+        ok = _feasible_mask(instance, conflict_sets, bits)
         if not ok.any():
             continue
         idx = np.flatnonzero(ok)
         sel = bits[idx].astype(np.int64)
-        fa = sel @ lengths
+        fa = sel @ instance.lengths
         obj = alpha * fa - beta * (sel @ working)
         order = np.lexsort((idx, fa, obj))[0]
         cand = (int(obj[order]), int(fa[order]), start + int(idx[order]))
@@ -163,30 +138,22 @@ def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RequestPlan:
-    request_id: int
-    pairs: list[tuple[int, int, int]]  # (combined length, working local, protection local)
-    min_pair_length: int | None
-
-
-def _plan(instance: Instance, strong: StrongGroups) -> list[_RequestPlan]:
+def _plan(instance: Instance, strong: StrongGroups) -> list[tuple[int, list]]:
+    """Per request, its link-disjoint (combined length, working variable,
+    protection variable, slots of both) pairs, shortest first."""
     plans = []
     for req in instance.requests:
+        working, protection = instance.var_range(req.id, WORKING), instance.var_range(req.id, PROTECTION)
+        pslots = [[(e, pl.wavelength) for e in pl.links] for pl in req.protection]
         pairs = []
         for w, wl in enumerate(req.working):
+            wslots = [(e, wl.wavelength) for e in wl.links]
             blocked = set(strong.pbar[(req.id, w)])
             for p, pl in enumerate(req.protection):
                 if p not in blocked:
-                    pairs.append((wl.length + pl.length, w, p))
-        pairs.sort()
-        plans.append(
-            _RequestPlan(
-                request_id=req.id,
-                pairs=pairs,
-                min_pair_length=pairs[0][0] if pairs else None,
-            )
-        )
+                    pairs.append((wl.length + pl.length, working[w], protection[p], wslots + pslots[p]))
+        pairs.sort()  # (length, working, protection) never ties, so slots are not compared
+        plans.append((req.id, pairs))
     return plans
 
 
@@ -204,24 +171,15 @@ def branch_and_bound(
     pair, which forces all group-mates to zero; the bound adds the best-case
     gain of every still-open grantable request.  Exact when the node budget
     is not exhausted, otherwise returns the incumbent with a proven lower
-    bound on the optimum.
+    bound on the optimum.  The search keeps its own stack, so its depth (one
+    level per request) is not bounded by the interpreter's recursion limit.
     """
-    plans = _plan(instance, strong_groups)
     # requests by descending best-case gain, working pairs before skipping
-    order = sorted(
-        plans,
-        key=lambda pl: (
-            -(beta - alpha * pl.min_pair_length) if pl.min_pair_length is not None else 1,
-            pl.request_id,
-        ),
-    )
-    gains = [
-        min(0, alpha * pl.min_pair_length - beta) if pl.min_pair_length is not None else 0
-        for pl in order
-    ]
+    plans = sorted(_plan(instance, strong_groups), key=lambda pl: (alpha * pl[1][0][0] - beta if pl[1] else 1, pl[0]))
+    order = [pairs for _, pairs in plans]
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gains[i]
+        suffix[i] = suffix[i + 1] + (min(0, alpha * order[i][0][0] - beta) if order[i] else 0)
 
     n = instance.n_vars
     assignment = [0] * n
@@ -232,14 +190,16 @@ def branch_and_bound(
     exhausted = False
     open_bound_min: int | None = None
 
-    def slots(lp) -> list[tuple[int, int]]:
-        return [(e, lp.wavelength) for e in lp.links]
-
     def note_open(bound: int) -> None:
         nonlocal open_bound_min
         open_bound_min = bound if open_bound_min is None else min(open_bound_min, bound)
 
-    def dfs(depth: int, cur_obj: int, cur_fa: int) -> None:
+    # one frame per open node: [depth, objective, links, next pair, granted
+    # pair or None]; next pair len(pairs) + 1 marks a running skip branch
+    stack: list[list] = []
+
+    def visit(depth: int, cur_obj: int, cur_fa: int) -> None:
+        """Count and bound a node; push it when it has children."""
         nonlocal nodes, exhausted, incumbent_key, incumbent_bits
         bound = cur_obj + suffix[depth]
         if exhausted or (node_limit is not None and nodes >= node_limit):
@@ -255,27 +215,36 @@ def branch_and_bound(
                 incumbent_key = key
                 incumbent_bits = tuple(assignment)
             return
-        plan = order[depth]
-        req = instance.requests[plan.request_id]
-        for combined, w, p in plan.pairs:
-            wl, pl = req.working[w], req.protection[p]
-            needed = slots(wl) + slots(pl)
-            if any(s in occupied for s in needed):
-                continue
-            iw = instance.var_of(req.id, WORKING, w)
-            ip_ = instance.var_of(req.id, PROTECTION, p)
-            occupied.update(needed)
-            assignment[iw] = assignment[ip_] = 1
-            dfs(depth + 1, cur_obj + alpha * combined - beta, cur_fa + combined)
+        stack.append([depth, cur_obj, cur_fa, 0, None])
+
+    visit(0, 0, 0)
+    while stack:
+        frame = stack[-1]
+        depth, cur_obj, cur_fa, k, granted = frame
+        pairs = order[depth]
+        if granted is not None:
+            _, iw, ip_, needed = granted
             assignment[iw] = assignment[ip_] = 0
             occupied.difference_update(needed)
+            frame[4] = None
             if exhausted:
                 # alternatives at this node remain unexplored
-                note_open(bound)
-                return
-        dfs(depth + 1, cur_obj, cur_fa)
-
-    dfs(0, 0, 0)
+                note_open(cur_obj + suffix[depth])
+                stack.pop()
+                continue
+        elif k > len(pairs):
+            stack.pop()
+            continue
+        while k < len(pairs) and any(s in occupied for s in pairs[k][3]):
+            k += 1
+        frame[3] = k + 1
+        if k < len(pairs):
+            combined, iw, ip_, needed = frame[4] = pairs[k]
+            occupied.update(needed)
+            assignment[iw] = assignment[ip_] = 1
+            visit(depth + 1, cur_obj + alpha * combined - beta, cur_fa + combined)
+        else:
+            visit(depth + 1, cur_obj, cur_fa)
 
     if conflict_sets is None:
         conflict_sets = build_conflict_sets(instance)

@@ -26,7 +26,7 @@ from .instance import (
     DimensionError,
     Instance,
     Solution,
-    _check_dims,
+    _selected,
     f_alpha,
     f_beta,
     objective_coefficients,
@@ -171,19 +171,18 @@ def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta
     # squared working/protection count difference, plus count * (count - 1)
     # over working bits: rho on every variable, and per request 4 rho on a
     # working pair, 2 rho on a protection pair, -2 rho on a mixed pair
-    linear = tuple(c + rho for c in objective_coefficients(instance, alpha, beta))
+    linear = tuple((objective_coefficients(instance, alpha, beta) + rho).tolist())
 
     # a request's variables are one block, working first; every pair inside
     # a block, in key order: variable a pairs with the after[a] variables
     # that follow it in its block, and (a, b) lands in slot b - shift[a]
-    sizes = np.array([len(req.working) + len(req.protection) for req in instance.requests], dtype=np.int64)
-    end = np.repeat(sizes.cumsum(), sizes)
+    end = instance.bounds[2 * instance.request_of + 2]
     succ = np.arange(1, n + 1)  # a + 1 for each variable a
     after = end - succ
     shift = succ - (after.cumsum() - after)
     qi = np.repeat(succ - 1, after)
     qj = np.arange(len(qi)) + shift[qi]
-    working = instance.working_mask()
+    working = instance.working
     qv = np.where(working[qj], 4 * rho, np.where(working[qi], -2 * rho, 2 * rho))
 
     # each conflict pair adds rho: to its block slot within a request, else
@@ -233,14 +232,10 @@ class PenaltyBreakdown:
 
 def penalty(instance: Instance, conflict_sets: ConflictSets, solution: Solution | Sequence[int]) -> PenaltyBreakdown:
     """Evaluate the penalty terms directly from their definitions."""
-    bits = _check_dims(instance, solution)
-    counts = request_counts(instance, bits)
-    per_class = np.bincount(conflict_sets.classes[conflict_sets.hits(bits)], minlength=5).tolist()
-    return PenaltyBreakdown(
-        sum((cw - cp) ** 2 for cw, cp in counts),
-        sum(cw * (cw - 1) for cw, _ in counts),
-        *per_class[1:],
-    )
+    on = _selected(instance, solution)
+    cw, cp = request_counts(instance, on)
+    per_class = np.bincount(conflict_sets.classes[conflict_sets.hits(on)], minlength=5).tolist()
+    return PenaltyBreakdown(int(((cw - cp) ** 2).sum()), int((cw * (cw - 1)).sum()), *per_class[1:])
 
 
 def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var_index: int) -> int:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -224,3 +226,55 @@ def test_bench_records_row_errors_and_continues(tmp_path, capsys):
     assert all("EnumerationLimitError" in r["error"] for r in exact_rows)
     rs_rows = [r for r in rows if r["method"] == "rs" and r["instance"] != "AGGREGATE"]
     assert all(r["error"] == "" for r in rs_rows)
+
+
+@pytest.mark.parametrize("bits", ["12", "1x", "100111a"])
+def test_verify_rejects_malformed_bits(inst_path, tmp_path, capsys, bits):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"bits": bits}))
+    assert main(["verify", inst_path, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _output_commands(inst_path, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": 2, "edges": [[0, 1]]}))
+    return {
+        "gen": ["gen", "--topology", "synth:8,1.6", "--wavelengths", "1", "--requests", "2", "--paths", "1"],
+        "reduce-mss": ["reduce-mss", str(graph)],
+        "solve": ["solve", inst_path, "--method", "bnb"],
+        "bench": ["bench", inst_path, "--methods", "rs", "--budget", "2"],
+        "export-lp": ["export-lp", inst_path],
+        "export-qubo": ["export-qubo", inst_path],
+    }
+
+
+@pytest.mark.parametrize("command", ["gen", "reduce-mss", "solve", "bench", "export-lp", "export-qubo"])
+def test_failed_write_leaves_the_previous_file(inst_path, tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    argv = _output_commands(inst_path, tmp_path)[command] + ["-o", str(out)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def fail(*args):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        main(argv)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+
+
+@pytest.mark.parametrize("command", ["gen", "reduce-mss", "solve", "bench", "export-lp", "export-qubo"])
+def test_written_files_get_the_mode_of_a_plain_open(inst_path, tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    argv = _output_commands(inst_path, tmp_path)[command] + ["-o", str(out)]
+    old = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
