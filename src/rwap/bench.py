@@ -15,7 +15,7 @@ from .anneal import AnnealConfig, solve_rwap_da
 from .conflicts import build_conflict_sets, build_strong_groups
 from .heuristic import RsConfig, rs_heur
 from .instance import Instance
-from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
+from .oracle import branch_and_bound, brute_force_ip
 from .weights import beta_base
 
 CSV_VERSION = "rwap-bench-v1"
@@ -75,7 +75,7 @@ def _run_task(task: BenchTask) -> dict:
             report = rs_heur(inst, conflicts, RsConfig(task.permutations, task.seed), alpha, beta)
             row["budget"] = task.permutations
         elif task.method == "exact":
-            report = brute_force_ip(inst, conflicts, alpha, beta, cap=ENUMERATION_CAP)
+            report = brute_force_ip(inst, conflicts, alpha, beta)
         elif task.method == "bnb":
             strong = build_strong_groups(inst)
             report = branch_and_bound(inst, strong, alpha, beta, task.node_limit, conflicts)

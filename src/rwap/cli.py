@@ -13,7 +13,7 @@ from .gen import generate, synth_topology
 from .heuristic import RsConfig, rs_heur
 from .instance import Solution, load_instance, report_to_dict, save_instance, verify_feasible, write_atomic
 from .ip import build_ip, export_lp
-from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
+from .oracle import branch_and_bound, brute_force_ip
 from .qubo import build_qubo, export_qubo, rho_base
 from .reduce import MssGraph, mss_to_rwap
 from .weights import beta_base, compute_omega
@@ -132,7 +132,7 @@ def _cmd_solve(args) -> int:
     elif args.method == "rs":
         report = rs_heur(inst, conflicts, RsConfig(args.budget, args.seed), alpha, beta)
     elif args.method == "exact":
-        report = brute_force_ip(inst, conflicts, alpha, beta, cap=ENUMERATION_CAP)
+        report = brute_force_ip(inst, conflicts, alpha, beta)
     elif args.method == "bnb":
         strong = build_strong_groups(inst)
         report = branch_and_bound(inst, strong, alpha, beta, args.node_limit, conflicts)
@@ -147,13 +147,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    conflicts = build_conflict_sets(inst)
     try:
-        verdict = verify_feasible(inst, conflicts, Solution.from_string(payload["bits"]))
-    except ValueError as exc:  # bits other than 0/1, or the wrong number of them
+        inst = load_instance(args.instance)
+        with open(args.solution, "r", encoding="utf-8") as fh:
+            bits = json.load(fh)["bits"]
+        verdict = verify_feasible(inst, build_conflict_sets(inst), Solution.from_string(bits))
+    except KeyError as exc:
+        print(f"error: solution document has no {exc} entry", file=sys.stderr)
+        return 2
+    except (OSError, TypeError, ValueError) as exc:  # no such file, not JSON, a malformed instance, bad bits
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if verdict.feasible:

@@ -17,14 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import Instance, PROTECTION, Request, WORKING
-
-
-def _overlapping_protections(req: Request) -> list[tuple[int, ...]]:
-    """Per working lightpath of req, the local indices of its protections
-    sharing a link with it."""
-    protections = [set(pl.links) for pl in req.protection]
-    return [tuple(p for p, links in enumerate(protections) if not links.isdisjoint(wl.links)) for wl in req.working]
+from .instance import Instance, PROTECTION, WORKING
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +93,10 @@ class ConflictSets:
 
 
 def build_conflict_sets(instance: Instance) -> ConflictSets:
-    """Pairwise closure of the (link, wavelength) slot groups, plus each
-    request's working/protection lightpaths sharing a link."""
+    """Pairwise closure of the mutually exclusive groups of
+    build_strong_groups: pbar gives class 1, each (link, wavelength) group
+    classes 2-4."""
+    strong = build_strong_groups(instance)
     n, n_req = instance.n_vars, len(instance.requests)
     # A pair is one integer, class * span + hi[first] + lo[second], whose
     # order is the class, then the requests of first and second, then first
@@ -110,30 +105,21 @@ def build_conflict_sets(instance: Instance) -> ConflictSets:
     nn = n * n
     span = n_req * n_req * nn
     request_of = instance.request_of.tolist()
+    is_working = instance.working.tolist()
     hi = [(r * n_req * n + i) * n for i, r in enumerate(request_of)]
     lo = [r * nn + i for i, r in enumerate(request_of)]
     blocks = instance.bounds.tolist()
-    slots: dict[int, tuple[list[int], list[int]]] = {}  # slot -> (working, protection) variables
     keys: set[int] = set()
-    wavelengths = instance.wavelength_count
-    for r, req in enumerate(instance.requests):
-        for kind in (WORKING, PROTECTION):
-            for i, lp in enumerate(req.lightpaths(kind), blocks[2 * r + kind]):
-                for e in set(lp.links):
-                    slot = e * wavelengths + lp.wavelength
-                    group = slots.get(slot)
-                    if group is None:
-                        slots[slot] = group = ([], [])
-                    group[kind].append(i)
-        w0, p0 = blocks[2 * r : 2 * r + 2]
-        for w, plist in enumerate(_overlapping_protections(req)):
-            c1 = span + hi[w0 + w]
-            for p in plist:
-                keys.add(c1 + lo[p0 + p])
+    for (r, w), plist in strong.pbar.items():
+        c1, p0 = span + hi[blocks[2 * r] + w], blocks[2 * r + 1]
+        for p in plist:
+            keys.add(c1 + lo[p0 + p])
 
-    for working, protection in slots.values():
-        if len(working) + len(protection) < 2:
+    for members in strong.groups.values():
+        if len(members) < 2:
             continue
+        working = [i for i in members if is_working[i]]
+        protection = [i for i in members if not is_working[i]]
         for x, a in enumerate(working):
             c3, c2, r = 3 * span + hi[a], 2 * span + hi[a], request_of[a]
             for b in working[x + 1 :]:
@@ -159,16 +145,17 @@ class StrongGroups:
 
     pbar maps (request, working local index) to the local indices of that
     request's protections sharing a link with the working path.  groups maps
-    (link, wavelength) to the sorted variable indices of every lightpath
-    covering that slot; groups with fewer than two members constrain nothing
-    and are skipped at constraint emission but kept here for counting.
+    (link, wavelength), in key order, to the sorted variable indices of every
+    lightpath covering that slot; groups with fewer than two members
+    constrain nothing and are skipped at constraint emission but kept here
+    for counting.
     """
 
     pbar: dict[tuple[int, int], tuple[int, ...]]
     groups: dict[tuple[int, int], tuple[int, ...]]
 
     def emitted_groups(self) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-        return [(key, mem) for key, mem in sorted(self.groups.items()) if len(mem) >= 2]
+        return [(key, mem) for key, mem in self.groups.items() if len(mem) >= 2]
 
     @property
     def emitted_group_count(self) -> int:
@@ -194,21 +181,19 @@ class StrongGroups:
 
 
 def build_strong_groups(instance: Instance) -> StrongGroups:
-    pbar = {
-        (req.id, w): plist for req in instance.requests for w, plist in enumerate(_overlapping_protections(req))
-    }
-
+    pbar: dict[tuple[int, int], tuple[int, ...]] = {}
     groups: dict[tuple[int, int], list[int]] = {}
     blocks = instance.bounds.tolist()
     for req in instance.requests:
+        protections = [set(pl.links) for pl in req.protection]
+        for w, wl in enumerate(req.working):
+            pbar[req.id, w] = tuple(p for p, links in enumerate(protections) if not links.isdisjoint(wl.links))
+        # variables come in ascending index order, so each group is sorted
         for kind in (WORKING, PROTECTION):
             for i, lp in enumerate(req.lightpaths(kind), blocks[2 * req.id + kind]):
                 for e in dict.fromkeys(lp.links):  # a walk may repeat a link
                     groups.setdefault((e, lp.wavelength), []).append(i)
-    return StrongGroups(
-        pbar=pbar,
-        groups={key: tuple(sorted(members)) for key, members in sorted(groups.items())},
-    )
+    return StrongGroups(pbar=pbar, groups={key: tuple(members) for key, members in sorted(groups.items())})
 
 
 @dataclass(frozen=True)

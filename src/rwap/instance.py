@@ -77,21 +77,25 @@ class Request:
         return self.working if kind == WORKING else self.protection
 
 
-def _check_lightpath(net: Network, req: Request, lp: Lightpath, label: str, wavelengths: int) -> None:
+def _lightpath_error(req: Request, kind: int, local: int, problem: str) -> InstanceError:
+    return InstanceError(f"request {req.id} {'working' if kind == WORKING else 'protection'}[{local}]: {problem}")
+
+
+def _check_lightpath(net: Network, req: Request, kind: int, local: int, lp: Lightpath, wavelengths: int) -> None:
     if lp.length < 1:
-        raise InstanceError(f"{label}: lightpath must contain at least one link")
+        raise _lightpath_error(req, kind, local, "lightpath must contain at least one link")
     if not (0 <= lp.wavelength < wavelengths):
-        raise InstanceError(f"{label}: wavelength {lp.wavelength} out of range")
+        raise _lightpath_error(req, kind, local, f"wavelength {lp.wavelength} out of range")
     at = req.source
     for e in lp.links:
         if not (0 <= e < net.link_count):
-            raise InstanceError(f"{label}: unknown link id {e}")
+            raise _lightpath_error(req, kind, local, f"unknown link id {e}")
         tail, head = net.links[e]
         if tail != at:
-            raise InstanceError(f"{label}: link {e} does not continue the path")
+            raise _lightpath_error(req, kind, local, f"link {e} does not continue the path")
         at = head
     if at != req.destination:
-        raise InstanceError(f"{label}: path ends at node {at}, not the destination")
+        raise _lightpath_error(req, kind, local, f"path ends at node {at}, not the destination")
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,7 @@ class Instance:
                 raise InstanceError(f"request ids must be dense and ordered; got {req.id} at {pos}")
             for kind in (WORKING, PROTECTION):
                 for local, lp in enumerate(req.lightpaths(kind)):
-                    label = f"request {req.id} {'working' if kind == WORKING else 'protection'}[{local}]"
-                    _check_lightpath(self.network, req, lp, label, self.wavelength_count)
+                    _check_lightpath(self.network, req, kind, local, lp, self.wavelength_count)
                     lengths.append(lp.length)
                     working.append(kind == WORKING)
                     request_of.append(pos)

@@ -35,14 +35,12 @@ class Weights:
 
     alpha may be zero only for the grant-count-only variant; beta_base and
     m_value are populated when the weights come from the closed-form bound.
-    source is one of explicit, base-formula, tight-enumeration.
     """
 
     alpha: int
     beta: int
     m_value: int | None = None
     beta_base: int | None = None
-    source: str = "explicit"
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -72,7 +70,7 @@ def beta_base(instance: Instance, alpha: int = 1) -> Weights:
     m = max_pair_length(instance)
     bound = len(instance.requests) * (m - 2) + 2
     beta = alpha * bound + 1
-    return Weights(alpha=alpha, beta=beta, m_value=m, beta_base=beta, source="base-formula")
+    return Weights(alpha=alpha, beta=beta, m_value=m, beta_base=beta)
 
 
 @dataclass(frozen=True)

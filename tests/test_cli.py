@@ -238,6 +238,29 @@ def test_verify_rejects_malformed_bits(inst_path, tmp_path, capsys, bits):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "instance_text, solution_text",
+    [
+        (None, "not json"),
+        (None, json.dumps({"bitz": "1"})),
+        (None, json.dumps({"bits": 5})),
+        (None, None),  # no solution file
+        (json.dumps({"nodes": 2}), json.dumps({"bits": "1"})),
+    ],
+)
+def test_verify_rejects_unreadable_documents(inst_path, tmp_path, capsys, instance_text, solution_text):
+    if instance_text is not None:
+        inst_path = tmp_path / "broken.json"
+        inst_path.write_text(instance_text)
+    solution = tmp_path / "solution.json"
+    if solution_text is not None:
+        solution.write_text(solution_text)
+    assert main(["verify", str(inst_path), str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def _output_commands(inst_path, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"nodes": 2, "edges": [[0, 1]]}))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from rwap.gen import generate, synth_topology
@@ -67,6 +69,44 @@ def test_conflict_families_in_sorted_tuple_order(seed):
     cs = build_conflict_sets(inst)
     for family, oracle in zip((cs.c1, cs.c2, cs.c3, cs.c4), _pairwise_oracle(inst)):
         assert family == tuple(sorted(oracle))
+
+
+@st.composite
+def tangled_instances(draw):
+    """Up to three requests on a 2-3 node graph with parallel links, walks
+    that may revisit nodes and repeat links, possibly empty working or
+    protection blocks, and 1-3 wavelengths."""
+    nodes = draw(st.integers(2, 3))
+    hops = [(u, v) for u in range(nodes) for v in range(nodes) if u != v]
+    links = [hop for hop in hops for _ in range(draw(st.integers(1, 2)))]
+    parallel = {hop: [e for e, link in enumerate(links) if link == hop] for hop in hops}
+    wavelengths = draw(st.integers(1, 3))
+
+    def lightpath(source, destination):
+        stops = [source, *draw(st.lists(st.integers(0, nodes - 1), max_size=3)), destination]
+        walk = [v for k, v in enumerate(stops) if k == 0 or v != stops[k - 1]]
+        path = tuple(draw(st.sampled_from(parallel[hop])) for hop in zip(walk, walk[1:]))
+        return Lightpath(path, draw(st.integers(0, wavelengths - 1)))
+
+    requests = []
+    for rid in range(draw(st.integers(1, 3))):
+        source, destination = draw(st.sampled_from(hops))
+        working, protection = (
+            tuple(lightpath(source, destination) for _ in range(draw(st.integers(0, 2)))) for _ in range(2)
+        )
+        requests.append(Request(rid, source, destination, working, protection))
+    return Instance(Network(nodes, tuple(links)), wavelengths, tuple(requests))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tangled_instances())
+def test_conflict_core_matches_references_on_tangled_instances(inst):
+    cs = build_conflict_sets(inst)
+    strong = build_strong_groups(inst)
+    for family, oracle in zip((cs.c1, cs.c2, cs.c3, cs.c4), _pairwise_oracle(inst)):
+        assert family == tuple(sorted(oracle))
+    assert cs.variable_pairs(inst) == strong.variable_pairs(inst)
+    assert all(len(set(members)) == len(members) for members in strong.groups.values())
 
 
 def test_lightpath_repeating_a_link_does_not_conflict_with_itself():
