@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
+from rwap.conflicts import build_conflict_sets, count_constraints
 from rwap.gen import GenerationError, generate, synth_topology
 
 
@@ -38,7 +38,7 @@ def main() -> int:
                 print(f"# skipped ({lam}, {req}): {exc}", file=sys.stderr)
                 continue
             conflicts = build_conflict_sets(inst)
-            counts = count_constraints(inst, conflicts, build_strong_groups(inst))
+            counts = count_constraints(inst, conflicts, conflicts.strong)
             c1, c2, c3, c4 = conflicts.class_counts
             print(
                 f"{lam},{req},{counts.variables},{c1},{c2},{c3},{c4},{counts.base_constraints},"

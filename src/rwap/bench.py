@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .anneal import AnnealConfig, solve_rwap_da
-from .conflicts import build_conflict_sets, build_strong_groups
+from .conflicts import build_conflict_sets
 from .heuristic import RsConfig, rs_heur
 from .instance import Instance
 from .oracle import branch_and_bound, brute_force_ip
@@ -77,8 +77,7 @@ def _run_task(task: BenchTask) -> dict:
         elif task.method == "exact":
             report = brute_force_ip(inst, conflicts, alpha, beta)
         elif task.method == "bnb":
-            strong = build_strong_groups(inst)
-            report = branch_and_bound(inst, strong, alpha, beta, task.node_limit, conflicts)
+            report = branch_and_bound(inst, conflicts.strong, alpha, beta, task.node_limit, conflicts)
             row["budget"] = task.node_limit if task.node_limit is not None else ""
         else:
             raise ValueError(f"unknown method {task.method!r}")

@@ -46,8 +46,7 @@ def _cmd_gen(args) -> int:
 def _cmd_conflicts(args) -> int:
     inst = load_instance(args.instance)
     conflicts = build_conflict_sets(inst)
-    strong = build_strong_groups(inst)
-    counts = count_constraints(inst, conflicts, strong)
+    counts = count_constraints(inst, conflicts, conflicts.strong)
     c1, c2, c3, c4 = conflicts.class_counts
     data = {
         "c1": c1,
@@ -134,8 +133,7 @@ def _cmd_solve(args) -> int:
     elif args.method == "exact":
         report = brute_force_ip(inst, conflicts, alpha, beta)
     elif args.method == "bnb":
-        strong = build_strong_groups(inst)
-        report = branch_and_bound(inst, strong, alpha, beta, args.node_limit, conflicts)
+        report = branch_and_bound(inst, conflicts.strong, alpha, beta, args.node_limit, conflicts)
     else:
         raise SystemExit(f"unknown method {args.method!r}")
     payload = report_to_dict(report)

@@ -6,8 +6,12 @@ two lightpaths carrying the same wavelength must not share a link (classes
 c2, c3, c4 for working/protection, working/working and protection/protection
 combinations).  The strengthened form replaces those pairwise constraints
 with at-most-one groups: per working lightpath, the set of same-request
-protections overlapping it; per (link, wavelength), every lightpath covering
-that slot.
+protections overlapping it; per (link, wavelength) slot, every lightpath
+covering it.
+
+``build_strong_groups`` is the one place that turns links and wavelengths
+into slots; ``ConflictSets.strong`` keeps its result, the slot table that the
+pairwise closure, branch-and-bound and the greedy read.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ class ConflictSets:
     (two protection).  ``first`` is the working endpoint in classes 1 and 2
     and the smaller index in classes 3 and 4.  Rows run by class and within
     a class in the order of its tuple family c1..c4, which base-model row
-    names follow.
+    names follow.  ``strong`` holds the groups the rows were closed from.
     """
 
     instance: Instance
     first: np.ndarray  # int64 per row
     second: np.ndarray  # int64 per row
     classes: np.ndarray  # int8 per row
+    strong: StrongGroups
 
     @property
     def pair_count(self) -> int:
@@ -101,7 +106,7 @@ def build_conflict_sets(instance: Instance) -> ConflictSets:
     # A pair is one integer, class * span + hi[first] + lo[second], whose
     # order is the class, then the requests of first and second, then first
     # and second: the order of the c1..c4 tuples.  It fits in int64 while
-    # requests * variables stays below 1.3e9.
+    # requests * variables stays below about 1.36e9.
     nn = n * n
     span = n_req * n_req * nn
     request_of = instance.request_of.tolist()
@@ -133,10 +138,16 @@ def build_conflict_sets(instance: Instance) -> ConflictSets:
             for b in protection[x + 1 :]:
                 keys.add(c4 + lo[b])
 
-    flat = np.fromiter(keys, np.int64, len(keys))
+    try:
+        flat = np.fromiter(keys, np.int64, len(keys))
+    except OverflowError:
+        raise ValueError(
+            f"{n_req} requests x {n} variables = {n_req * n} is too large for the conflict "
+            "sort key of an instance with shared links (limit about 1.36e9)"
+        ) from None
     flat.sort()
     first, second = np.divmod(flat % nn, n)
-    return ConflictSets(instance, first, second, (flat // span).astype(np.int8))
+    return ConflictSets(instance, first, second, (flat // span).astype(np.int8), strong)
 
 
 @dataclass(frozen=True)
@@ -144,8 +155,11 @@ class StrongGroups:
     """Mutually-exclusive variable groups replacing the pairwise conflicts.
 
     pbar maps (request, working local index) to the local indices of that
-    request's protections sharing a link with the working path.  groups maps
-    (link, wavelength), in key order, to the sorted variable indices of every
+    request's protections sharing a link with the working path.  slots holds,
+    per variable, the distinct slot ids ``link * wavelength_count +
+    wavelength`` its lightpath covers, in walk order: two lightpaths conflict
+    on wavelength exactly when their slot ids meet.  groups maps (link,
+    wavelength), in key order, to the sorted variable indices of every
     lightpath covering that slot; groups with fewer than two members
     constrain nothing and are skipped at constraint emission but kept here
     for counting.
@@ -153,6 +167,7 @@ class StrongGroups:
 
     pbar: dict[tuple[int, int], tuple[int, ...]]
     groups: dict[tuple[int, int], tuple[int, ...]]
+    slots: tuple[tuple[int, ...], ...]
 
     def emitted_groups(self) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
         return [(key, mem) for key, mem in self.groups.items() if len(mem) >= 2]
@@ -182,18 +197,25 @@ class StrongGroups:
 
 def build_strong_groups(instance: Instance) -> StrongGroups:
     pbar: dict[tuple[int, int], tuple[int, ...]] = {}
-    groups: dict[tuple[int, int], list[int]] = {}
-    blocks = instance.bounds.tolist()
+    groups: dict[int, list[int]] = {}
+    slots: list[tuple[int, ...]] = []
+    n_wl = instance.wavelength_count
     for req in instance.requests:
         protections = [set(pl.links) for pl in req.protection]
         for w, wl in enumerate(req.working):
             pbar[req.id, w] = tuple(p for p, links in enumerate(protections) if not links.isdisjoint(wl.links))
-        # variables come in ascending index order, so each group is sorted
-        for kind in (WORKING, PROTECTION):
-            for i, lp in enumerate(req.lightpaths(kind), blocks[2 * req.id + kind]):
-                for e in dict.fromkeys(lp.links):  # a walk may repeat a link
-                    groups.setdefault((e, lp.wavelength), []).append(i)
-    return StrongGroups(pbar=pbar, groups={key: tuple(members) for key, members in sorted(groups.items())})
+        # lightpaths are walked in variable order, so i is the variable
+        # index and each group comes out sorted
+        for i, lp in enumerate(req.working + req.protection, len(slots)):
+            covered = tuple([e * n_wl + lp.wavelength for e in dict.fromkeys(lp.links)])  # a walk may repeat a link
+            for s in covered:
+                groups.setdefault(s, []).append(i)
+            slots.append(covered)
+    return StrongGroups(
+        pbar=pbar,
+        groups={divmod(s, n_wl): tuple(members) for s, members in sorted(groups.items())},
+        slots=tuple(slots),
+    )
 
 
 @dataclass(frozen=True)

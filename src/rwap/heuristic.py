@@ -6,7 +6,8 @@ with the first available combination found by scanning link-disjoint
 pair, wavelengths in index order: both paths on the same wavelength first,
 then mixed wavelength pairs in lexicographic order (the model itself allows
 the two paths of a request to differ in wavelength).  A combination is
-available when no (link, wavelength) slot it needs is already taken by a
+available when no (link, wavelength) slot its two variables cover, as read
+from the slot table ``ConflictSets.strong.slots``, is already taken by a
 granted lightpath.  The best pass by granted count wins, ties broken by
 fewer links and then by earliest pass.
 """
@@ -31,54 +32,54 @@ class RsConfig:
             raise ValueError("at least one permutation is required")
 
 
-@dataclass(frozen=True)
-class _PathGroup:
-    links: tuple[int, ...]
-    length: int
-    by_wavelength: dict[int, int]  # wavelength -> variable index
-
-    @property
-    def wavelengths(self) -> list[int]:
-        return sorted(self.by_wavelength)
+_Options = list[tuple[int, int]]  # (wavelength, variable index) of one route, wavelength ascending
 
 
-def _path_groups(lightpaths, variables: range) -> list[_PathGroup]:
-    order: list[tuple[int, ...]] = []
+def _routes(lightpaths, variables: range) -> list[tuple[tuple[int, ...], _Options]]:
+    """Lightpaths grouped by route, in order of first appearance; a route's
+    first variable on each wavelength stands for it."""
     table: dict[tuple[int, ...], dict[int, int]] = {}
     for i, lp in zip(variables, lightpaths):
-        if lp.links not in table:
-            table[lp.links] = {}
-            order.append(lp.links)
-        table[lp.links].setdefault(lp.wavelength, i)
-    return [_PathGroup(links=key, length=len(key), by_wavelength=table[key]) for key in order]
+        table.setdefault(lp.links, {}).setdefault(lp.wavelength, i)
+    return [(links, sorted(by_wavelength.items())) for links, by_wavelength in table.items()]
 
 
-@dataclass(frozen=True)
-class _RequestPairs:
-    request_id: int
-    working: list[_PathGroup]
-    protection: list[_PathGroup]
-    pairs: list[tuple[int, int]]  # (working group, protection group), link-disjoint, shortest first
-
-
-def _prepare(instance: Instance) -> list[_RequestPairs]:
+def _prepare(instance: Instance) -> list[list[tuple[_Options, _Options, list[tuple[int, int]]]]]:
+    """Per request, its link-disjoint (working route, protection route)
+    pairs, shortest first, each as the two routes' options and the
+    (working, protection) variables of every wavelength both carry."""
     prepared = []
     for req in instance.requests:
-        wgroups = _path_groups(req.working, instance.var_range(req.id, WORKING))
-        pgroups = _path_groups(req.protection, instance.var_range(req.id, PROTECTION))
-        pairs = [
-            (wi, pi)
-            for wi, wg in enumerate(wgroups)
-            for pi, pg in enumerate(pgroups)
-            if not set(wg.links) & set(pg.links)
-        ]
-        pairs.sort(key=lambda wp: (wgroups[wp[0]].length + pgroups[wp[1]].length, wp[0], wp[1]))
-        prepared.append(_RequestPairs(req.id, wgroups, pgroups, pairs))
+        wroutes = _routes(req.working, instance.var_range(req.id, WORKING))
+        proutes = _routes(req.protection, instance.var_range(req.id, PROTECTION))
+        pairs = sorted(
+            (len(wl) + len(pl), wi, pi)
+            for wi, (wl, _) in enumerate(wroutes)
+            for pi, (pl, _) in enumerate(proutes)
+            if not set(wl) & set(pl)
+        )
+        plan = []
+        for _, wi, pi in pairs:
+            wopts, popts = wroutes[wi][1], proutes[pi][1]
+            on_p = dict(popts)
+            plan.append((wopts, popts, [(iw, on_p[lam]) for lam, iw in wopts if lam in on_p]))
+        prepared.append(plan)
     return prepared
 
 
-def _free(occupied: set[tuple[int, int]], links: tuple[int, ...], wavelength: int) -> bool:
-    return all((e, wavelength) not in occupied for e in links)
+def _first_free(plan, occupied: set[int], slots) -> tuple[int, int, bool] | None:
+    """The first available (working, protection) variables of a request,
+    and whether their wavelengths differ."""
+    for wopts, popts, same in plan:
+        for iw, ip in same:
+            if occupied.isdisjoint(slots[iw]) and occupied.isdisjoint(slots[ip]):
+                return iw, ip, False
+        for lw, iw in wopts:
+            if occupied.isdisjoint(slots[iw]):
+                for lp, ip in popts:
+                    if lp != lw and occupied.isdisjoint(slots[ip]):
+                        return iw, ip, True
+    return None
 
 
 def rs_heur(
@@ -89,6 +90,8 @@ def rs_heur(
     beta: int = 1,
 ) -> SolveReport:
     prepared = _prepare(instance)
+    slots = conflict_sets.strong.slots
+    lengths = instance.lengths.tolist()
     n_req = len(instance.requests)
     best_key: tuple[int, int] | None = None  # (-granted, links)
     best_bits: list[int] = [0] * instance.n_vars
@@ -99,44 +102,22 @@ def rs_heur(
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(perm_index,)))
         )
         order = stream.permutation(n_req)
-        occupied: set[tuple[int, int]] = set()
+        occupied: set[int] = set()  # slot ids of the granted lightpaths
         bits = [0] * instance.n_vars
         granted = 0
         links_used = 0
         mixed = 0
         for rid in order:
-            plan = prepared[rid]
-            assigned = None
-            for wi, pi in plan.pairs:
-                wg, pg = plan.working[wi], plan.protection[pi]
-                for lam in sorted(set(wg.by_wavelength) & set(pg.by_wavelength)):
-                    if _free(occupied, wg.links, lam) and _free(occupied, pg.links, lam):
-                        assigned = (wg, lam, pg, lam)
-                        break
-                if assigned is None:
-                    for lw in wg.wavelengths:
-                        if not _free(occupied, wg.links, lw):
-                            continue
-                        for lp in pg.wavelengths:
-                            if lp == lw:
-                                continue
-                            if _free(occupied, pg.links, lp):
-                                assigned = (wg, lw, pg, lp)
-                                mixed += 1
-                                break
-                        if assigned is not None:
-                            break
-                if assigned is not None:
-                    break
-            if assigned is None:
+            chosen = _first_free(prepared[rid], occupied, slots)
+            if chosen is None:
                 continue
-            wg, lw, pg, lp = assigned
-            bits[wg.by_wavelength[lw]] = 1
-            bits[pg.by_wavelength[lp]] = 1
-            occupied.update((e, lw) for e in wg.links)
-            occupied.update((e, lp) for e in pg.links)
+            iw, ip, differ = chosen
+            bits[iw] = bits[ip] = 1
+            occupied.update(slots[iw])
+            occupied.update(slots[ip])
             granted += 1
-            links_used += wg.length + pg.length
+            links_used += lengths[iw] + lengths[ip]
+            mixed += differ
         key = (-granted, links_used)
         if best_key is None or key < best_key:
             best_key = key

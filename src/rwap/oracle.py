@@ -53,19 +53,26 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationLimitError(f"{n} variables exceed the enumeration cap of {cap}")
 
 
+def _feasible_chunks(instance: Instance, conflict_sets: ConflictSets):
+    """Per chunk of the enumeration: its first row, the indices of its
+    feasible rows and their bits as int64.  Callers check the cap first."""
+    n = instance.n_vars
+    total = 1 << n
+    for start in range(0, total, 1 << CHUNK_BITS):
+        bits = _bits_chunk(n, start, min(total, start + (1 << CHUNK_BITS)))
+        idx = np.flatnonzero(_feasible_mask(instance, conflict_sets, bits))
+        yield start, idx, bits[idx].astype(np.int64)
+
+
 def feasible_objectives(
     instance: Instance, conflict_sets: ConflictSets, cap: int = ENUMERATION_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Link usage and granted count of every feasible bit vector."""
-    n = instance.n_vars
-    _check_cap(n, cap)
+    _check_cap(instance.n_vars, cap)
     working = instance.working.astype(np.int64)
     fa_parts: list[np.ndarray] = []
     fb_parts: list[np.ndarray] = []
-    total = 1 << n
-    for start in range(0, total, 1 << CHUNK_BITS):
-        bits = _bits_chunk(n, start, min(total, start + (1 << CHUNK_BITS)))
-        sel = bits[_feasible_mask(instance, conflict_sets, bits)].astype(np.int64)
+    for _, _, sel in _feasible_chunks(instance, conflict_sets):
         fa_parts.append(sel @ instance.lengths)
         fb_parts.append(sel @ working)
     return np.concatenate(fa_parts), np.concatenate(fb_parts)
@@ -87,15 +94,9 @@ def brute_force_ip(
     _check_cap(n, cap)
     working = instance.working.astype(np.int64)
     best: tuple[int, int, int] | None = None  # (objective, f_alpha, index)
-    total = 1 << n
-    for start in range(0, total, 1 << CHUNK_BITS):
-        stop = min(total, start + (1 << CHUNK_BITS))
-        bits = _bits_chunk(n, start, stop)
-        ok = _feasible_mask(instance, conflict_sets, bits)
-        if not ok.any():
+    for start, idx, sel in _feasible_chunks(instance, conflict_sets):
+        if not len(idx):
             continue
-        idx = np.flatnonzero(ok)
-        sel = bits[idx].astype(np.int64)
         fa = sel @ instance.lengths
         obj = alpha * fa - beta * (sel @ working)
         order = np.lexsort((idx, fa, obj))[0]
@@ -141,17 +142,16 @@ def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:
 def _plan(instance: Instance, strong: StrongGroups) -> list[tuple[int, list]]:
     """Per request, its link-disjoint (combined length, working variable,
     protection variable, slots of both) pairs, shortest first."""
+    lengths, slots = instance.lengths.tolist(), strong.slots
     plans = []
     for req in instance.requests:
-        working, protection = instance.var_range(req.id, WORKING), instance.var_range(req.id, PROTECTION)
-        pslots = [[(e, pl.wavelength) for e in pl.links] for pl in req.protection]
+        protection = instance.var_range(req.id, PROTECTION)
         pairs = []
-        for w, wl in enumerate(req.working):
-            wslots = [(e, wl.wavelength) for e in wl.links]
+        for w, iw in enumerate(instance.var_range(req.id, WORKING)):
             blocked = set(strong.pbar[(req.id, w)])
-            for p, pl in enumerate(req.protection):
+            for p, ip_ in enumerate(protection):
                 if p not in blocked:
-                    pairs.append((wl.length + pl.length, working[w], protection[p], wslots + pslots[p]))
+                    pairs.append((lengths[iw] + lengths[ip_], iw, ip_, slots[iw] + slots[ip_]))
         pairs.sort()  # (length, working, protection) never ties, so slots are not compared
         plans.append((req.id, pairs))
     return plans
@@ -183,7 +183,7 @@ def branch_and_bound(
 
     n = instance.n_vars
     assignment = [0] * n
-    occupied: set[tuple[int, int]] = set()
+    occupied: set[int] = set()  # slot ids of the granted pairs
     incumbent_bits = tuple([0] * n)
     incumbent_key = (0, 0, incumbent_bits)  # all-zero is always feasible
     nodes = 0
@@ -235,7 +235,7 @@ def branch_and_bound(
         elif k > len(pairs):
             stack.pop()
             continue
-        while k < len(pairs) and any(s in occupied for s in pairs[k][3]):
+        while k < len(pairs) and not occupied.isdisjoint(pairs[k][3]):
             k += 1
         frame[3] = k + 1
         if k < len(pairs):

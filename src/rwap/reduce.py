@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conflicts import build_conflict_sets, build_strong_groups
+from .conflicts import build_conflict_sets
 from .instance import Instance, Lightpath, Network, Request, SolveReport
 from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
 
@@ -140,5 +140,4 @@ def max_requests_only(instance: Instance, node_limit: int | None = None) -> Solv
     conflict_sets = build_conflict_sets(instance)
     if instance.n_vars <= ENUMERATION_CAP:
         return brute_force_ip(instance, conflict_sets, alpha=0, beta=1)
-    strong = build_strong_groups(instance)
-    return branch_and_bound(instance, strong, alpha=0, beta=1, node_limit=node_limit, conflict_sets=conflict_sets)
+    return branch_and_bound(instance, conflict_sets.strong, 0, 1, node_limit, conflict_sets)

@@ -140,6 +140,15 @@ def grantable_small_instance(seed: int, max_vars: int = 14) -> Instance:
     raise AssertionError("could not build a grantable instance")
 
 
+def parallel_link_requests(count: int, shared: bool) -> Instance:
+    """count requests 0 -> 1, each with one working lightpath on its own
+    parallel link and no protection; with shared, the last two requests use
+    the same link and so conflict."""
+    links = count - 1 if shared else count
+    requests = tuple(Request(r, 0, 1, (Lightpath((min(r, links - 1),), 0),), ()) for r in range(count))
+    return Instance(Network(node_count=2, links=((0, 1),) * links), 1, requests)
+
+
 def random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(b) for b in rng.integers(0, 2, size=n))
 

@@ -9,7 +9,7 @@ from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
 from rwap.instance import load_instance, save_instance
 
-from helpers import figure1_instance
+from helpers import figure1_instance, parallel_link_requests
 
 
 @pytest.fixture()
@@ -259,6 +259,16 @@ def test_verify_rejects_unreadable_documents(inst_path, tmp_path, capsys, instan
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_verify_reports_an_oversized_conflict_key(tmp_path, capsys):
+    inst_path, solution = tmp_path / "inst.json", tmp_path / "solution.json"
+    save_instance(parallel_link_requests(40_000, shared=True), str(inst_path))
+    solution.write_text(json.dumps({"bits": "0" * 40_000}))
+    assert main(["verify", str(inst_path), str(solution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1.36e9" in captured.err
 
 
 def _output_commands(inst_path, tmp_path):

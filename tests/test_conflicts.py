@@ -12,7 +12,7 @@ from rwap.ip import build_ip
 from rwap.oracle import branch_and_bound, brute_force_ip
 from rwap.weights import tight_example
 
-from helpers import hand_network, random_bits, small_instance
+from helpers import hand_network, parallel_link_requests, random_bits, small_instance
 
 
 def test_hand_example_conflict_tuples(figure1, figure1_conflicts):
@@ -107,6 +107,32 @@ def test_conflict_core_matches_references_on_tangled_instances(inst):
         assert family == tuple(sorted(oracle))
     assert cs.variable_pairs(inst) == strong.variable_pairs(inst)
     assert all(len(set(members)) == len(members) for members in strong.groups.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tangled_instances())
+def test_slot_table_matches_walks_on_tangled_instances(inst):
+    strong = build_conflict_sets(inst).strong
+    assert strong == build_strong_groups(inst)
+    assert len(strong.slots) == inst.n_vars
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, covered in enumerate(strong.slots):
+        lp = inst.lightpath_at(i)
+        walk = [e * inst.wavelength_count + lp.wavelength for e in lp.links]
+        assert covered == tuple(s for k, s in enumerate(walk) if s not in walk[:k])
+        for e in set(lp.links):
+            members.setdefault((e, lp.wavelength), []).append(i)
+    assert strong.groups == {key: tuple(found) for key, found in members.items()}
+    assert list(strong.groups) == sorted(members)
+
+
+def test_oversized_conflict_key_raises_a_clear_error():
+    with pytest.raises(ValueError, match="limit about 1.36e9"):
+        build_conflict_sets(parallel_link_requests(40_000, shared=True))
+
+
+def test_oversized_instance_without_shared_links_builds():
+    assert build_conflict_sets(parallel_link_requests(40_000, shared=False)).pair_count == 0
 
 
 def test_lightpath_repeating_a_link_does_not_conflict_with_itself():

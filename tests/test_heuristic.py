@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from rwap.conflicts import build_conflict_sets
+from rwap.gen import generate, synth_topology
 from rwap.heuristic import RsConfig, rs_heur
-from rwap.instance import Instance, Lightpath, Network, Request, verify_feasible
+from rwap.instance import Instance, Lightpath, Network, PROTECTION, Request, WORKING, verify_feasible
 from rwap.oracle import brute_force_ip
 from rwap.weights import beta_base
 
@@ -98,3 +100,84 @@ def test_shortest_pairs_tried_first():
     inst = Instance(network=net, wavelength_count=1, requests=(req,))
     report = rs_heur(inst, build_conflict_sets(inst), RsConfig(1, 0))
     assert report.f_alpha == 2  # both single-link paths
+
+
+def tuple_slot_rs_heur(instance, budget, seed):
+    """The greedy with its own (link, wavelength) tuple occupancy, as
+    reference: (bits, links, granted, mixed) of the best pass."""
+
+    def route_groups(lightpaths, variables):
+        table = {}
+        for i, lp in zip(variables, lightpaths):
+            table.setdefault(lp.links, {}).setdefault(lp.wavelength, i)
+        return list(table.items())
+
+    def free(occupied, links, wavelength):
+        return all((e, wavelength) not in occupied for e in links)
+
+    plans = []
+    for req in instance.requests:
+        wgroups = route_groups(req.working, instance.var_range(req.id, WORKING))
+        pgroups = route_groups(req.protection, instance.var_range(req.id, PROTECTION))
+        pairs = [
+            (len(wl) + len(pl), wi, pi)
+            for wi, (wl, _) in enumerate(wgroups)
+            for pi, (pl, _) in enumerate(pgroups)
+            if not set(wl) & set(pl)
+        ]
+        plans.append([(wgroups[wi], pgroups[pi]) for _, wi, pi in sorted(pairs)])
+
+    best = None
+    for perm_index in range(budget):
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(perm_index,))))
+        occupied, bits, granted, links_used, mixed = set(), [0] * instance.n_vars, 0, 0, 0
+        for rid in stream.permutation(len(instance.requests)):
+            assigned = None
+            for (wl, wv), (pl, pv) in plans[rid]:
+                for lam in sorted(set(wv) & set(pv)):
+                    if free(occupied, wl, lam) and free(occupied, pl, lam):
+                        assigned = (wl, lam, pl, lam, wv, pv)
+                        break
+                if assigned is None:
+                    for lw in sorted(wv):
+                        if free(occupied, wl, lw):
+                            lp = next((lp for lp in sorted(pv) if lp != lw and free(occupied, pl, lp)), None)
+                            if lp is not None:
+                                assigned = (wl, lw, pl, lp, wv, pv)
+                                mixed += 1
+                                break
+                if assigned is not None:
+                    break
+            if assigned is None:
+                continue
+            wl, lw, pl, lp, wv, pv = assigned
+            bits[wv[lw]] = bits[pv[lp]] = 1
+            occupied.update((e, lw) for e in wl)
+            occupied.update((e, lp) for e in pl)
+            granted += 1
+            links_used += len(wl) + len(pl)
+        if best is None or (-granted, links_used) < best[0]:
+            best = ((-granted, links_used), (tuple(bits), links_used, granted, mixed))
+    return best[1]
+
+
+def _greedy_outputs(inst, cs, budget, seed):
+    report = rs_heur(inst, cs, RsConfig(budget, seed))
+    return report.solution.bits, report.f_alpha, report.f_beta, report.mixed_wavelength_grants
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_slot_table_greedy_equals_tuple_slot_reference(seed):
+    inst = small_instance(seed)
+    cs = build_conflict_sets(inst)
+    for budget in (1, 5, 20):
+        assert _greedy_outputs(inst, cs, budget, seed) == tuple_slot_rs_heur(inst, budget, seed)
+
+
+def test_slot_table_greedy_equals_tuple_slot_reference_with_mixed_grants():
+    inst = generate(synth_topology(12, 1.6, 3), 3, 30, 2, 5)
+    cs = build_conflict_sets(inst)
+    for budget in (1, 5, 20):
+        got = _greedy_outputs(inst, cs, budget, 11)
+        assert got == tuple_slot_rs_heur(inst, budget, 11)
+        assert got[3] > 0
