@@ -218,6 +218,15 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
     )
 
 
+def check_built_for(instance: Instance, *structures: ConflictSets | StrongGroups | None) -> None:
+    """Raise ValueError for conflict sets or strong groups built for another instance."""
+    for s in structures:
+        if isinstance(s, ConflictSets) and s.instance is not instance and s.instance != instance:
+            raise ValueError("conflict sets were built for another instance")
+        if isinstance(s, StrongGroups) and len(s.slots) != instance.n_vars:
+            raise ValueError(f"strong groups cover {len(s.slots)} variables, the instance has {instance.n_vars}")
+
+
 @dataclass(frozen=True)
 class ConstraintCounts:
     """Constraint counts of both model variants, for cons/vars reports."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conflicts import ConflictSets, StrongGroups, build_conflict_sets
+from .conflicts import ConflictSets, StrongGroups, build_conflict_sets, check_built_for
 from .instance import (
     Instance,
     PROTECTION,
@@ -174,6 +174,7 @@ def branch_and_bound(
     bound on the optimum.  The search keeps its own stack, so its depth (one
     level per request) is not bounded by the interpreter's recursion limit.
     """
+    check_built_for(instance, strong_groups, conflict_sets)
     # requests by descending best-case gain, working pairs before skipping
     plans = sorted(_plan(instance, strong_groups), key=lambda pl: (alpha * pl[1][0][0] - beta if pl[1] else 1, pl[0]))
     order = [pairs for _, pairs in plans]

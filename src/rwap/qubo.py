@@ -280,13 +280,12 @@ def rho_tight(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta:
 
 # plain-text sparse export: header "n constant", then "i j coeff" rows
 def qubo_text(model: QuboModel) -> str:
-    lines = [f"{model.n} {model.constant}"]
-    for i, c in enumerate(model.linear):
-        if c:
-            lines.append(f"{i} {i} {c}")
+    diagonal = [i for i, c in enumerate(model.linear) if c]
     qi, qj, qv = model.pair_arrays()
-    lines += [f"{i} {j} {q}" for i, j, q in zip(qi.tolist(), qj.tolist(), qv.tolist())]
-    return "\n".join(lines) + "\n"
+    columns = (diagonal + qi.tolist(), diagonal + qj.tolist(), [model.linear[i] for i in diagonal] + qv.tolist())
+    flat = [0] * (3 * len(columns[0]))
+    flat[0::3], flat[1::3], flat[2::3] = columns
+    return f"{model.n} {model.constant}\n" + "%d %d %d\n" * len(columns[0]) % tuple(flat)
 
 
 def export_qubo(model: QuboModel, destination: str) -> None:

@@ -7,7 +7,11 @@ import pytest
 
 from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
+from rwap.conflicts import build_conflict_sets, build_strong_groups
 from rwap.instance import load_instance, save_instance
+from rwap.ip import build_ip, lp_text
+from rwap.qubo import build_qubo, qubo_text
+from rwap.weights import beta_base
 
 from helpers import figure1_instance, parallel_link_requests
 
@@ -81,6 +85,29 @@ def test_export_qubo_command(inst_path, tmp_path, capsys):
     assert main(["export-qubo", inst_path, "-o", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "7 0"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["export-lp", "--model", "base"], "7 binaries, 7 constraints"),
+        (["export-lp", "--model", "strong"], "7 binaries, 12 constraints"),
+        (["export-qubo"], "n=7, rho=111 (separation bound 25)"),
+    ],
+)
+def test_exported_files_match_the_library(inst_path, tmp_path, capsys, argv, expected):
+    out = tmp_path / "model.out"
+    assert main([argv[0], inst_path, *argv[1:], "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: {expected}\n"
+    inst = load_instance(inst_path)
+    w = beta_base(inst)
+    conflicts = build_conflict_sets(inst)
+    if argv[0] == "export-qubo":
+        text = qubo_text(build_qubo(inst, conflicts, w.alpha, w.beta, w.beta + 100))
+    else:
+        structure = conflicts if argv[-1] == "base" else build_strong_groups(inst)
+        text = lp_text(build_ip(inst, structure, w.alpha, w.beta, argv[-1]))
+    assert out.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,46 @@
+"""A conflict structure built for one instance is refused for another."""
+
+import pytest
+
+from rwap.conflicts import build_conflict_sets, build_strong_groups
+from rwap.instance import instance_from_dict, instance_to_dict
+from rwap.ip import build_ip
+from rwap.oracle import branch_and_bound
+
+from helpers import figure1_instance, small_instance
+
+
+def _other():
+    other = small_instance(3)
+    assert other.n_vars != figure1_instance().n_vars
+    return other
+
+
+def test_build_ip_refuses_conflict_sets_of_another_instance():
+    with pytest.raises(ValueError, match="another instance"):
+        build_ip(figure1_instance(), build_conflict_sets(_other()), 1, 11, "base")
+
+
+def test_build_ip_refuses_strong_groups_of_another_instance():
+    with pytest.raises(ValueError, match="strong groups cover"):
+        build_ip(figure1_instance(), build_strong_groups(_other()), 1, 11, "strong")
+
+
+def test_build_ip_accepts_structures_of_an_equal_instance():
+    inst = figure1_instance()
+    copy = instance_from_dict(instance_to_dict(inst))
+    assert copy is not inst and copy == inst
+    conflicts = build_conflict_sets(copy)
+    assert build_ip(inst, conflicts, 1, 11, "base") == build_ip(copy, conflicts, 1, 11, "base")
+    assert build_ip(inst, conflicts.strong, 1, 11, "strong") == build_ip(copy, conflicts.strong, 1, 11, "strong")
+
+
+def test_branch_and_bound_refuses_strong_groups_of_another_instance():
+    with pytest.raises(ValueError, match="strong groups cover"):
+        branch_and_bound(figure1_instance(), build_strong_groups(_other()), 1, 11)
+
+
+def test_branch_and_bound_refuses_conflict_sets_of_another_instance():
+    inst = figure1_instance()
+    with pytest.raises(ValueError, match="another instance"):
+        branch_and_bound(inst, build_strong_groups(inst), 1, 11, conflict_sets=build_conflict_sets(_other()))
