@@ -11,13 +11,15 @@ covering it.
 
 ``build_strong_groups`` is the one place that turns links and wavelengths
 into slots; ``ConflictSets.strong`` keeps its result, the slot table that the
-pairwise closure, branch-and-bound and the greedy read.
+pairwise closure, branch-and-bound and the greedy read.  The closure is
+numpy array work, with one sortable int64 key per pair and no loop over pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -99,55 +101,52 @@ class ConflictSets:
 
 def build_conflict_sets(instance: Instance) -> ConflictSets:
     """Pairwise closure of the mutually exclusive groups of
-    build_strong_groups: pbar gives class 1, each (link, wavelength) group
-    classes 2-4."""
+    build_strong_groups, as array work: pbar gives class 1, the member
+    pairs of each (link, wavelength) group classes 2-4."""
     strong = build_strong_groups(instance)
     n, n_req = instance.n_vars, len(instance.requests)
-    # A pair is one integer, class * span + hi[first] + lo[second], whose
-    # order is the class, then the requests of first and second, then first
-    # and second: the order of the c1..c4 tuples.  It fits in int64 while
-    # requests * variables stays below about 1.36e9.
-    nn = n * n
-    span = n_req * n_req * nn
-    request_of = instance.request_of.tolist()
-    is_working = instance.working.tolist()
-    hi = [(r * n_req * n + i) * n for i, r in enumerate(request_of)]
-    lo = [r * nn + i for i, r in enumerate(request_of)]
-    blocks = instance.bounds.tolist()
-    keys: set[int] = set()
-    for (r, w), plist in strong.pbar.items():
-        c1, p0 = span + hi[blocks[2 * r] + w], blocks[2 * r + 1]
-        for p in plist:
-            keys.add(c1 + lo[p0 + p])
-
-    for members in strong.groups.values():
-        if len(members) < 2:
-            continue
-        working = [i for i in members if is_working[i]]
-        protection = [i for i in members if not is_working[i]]
-        for x, a in enumerate(working):
-            c3, c2, r = 3 * span + hi[a], 2 * span + hi[a], request_of[a]
-            for b in working[x + 1 :]:
-                keys.add(c3 + lo[b])
-            # a same-request working/protection pair is class 1, added above
-            for b in protection:
-                if request_of[b] != r:
-                    keys.add(c2 + lo[b])
-        for x, a in enumerate(protection):
-            c4 = 4 * span + hi[a]
-            for b in protection[x + 1 :]:
-                keys.add(c4 + lo[b])
-
-    try:
-        flat = np.fromiter(keys, np.int64, len(keys))
-    except OverflowError:
-        raise ValueError(
-            f"{n_req} requests x {n} variables = {n_req * n} is too large for the conflict "
-            "sort key of an instance with shared links (limit about 1.36e9)"
-        ) from None
-    flat.sort()
-    first, second = np.divmod(flat % nn, n)
-    return ConflictSets(instance, first, second, (flat // span).astype(np.int8), strong)
+    working, request_of = instance.working, instance.request_of
+    # pbar runs over the working variables in index order
+    w = np.repeat(working.nonzero()[0], np.fromiter(map(len, strong.pbar.values()), np.int64, len(strong.pbar)))
+    p = instance.bounds[1::2][request_of[w]] + np.fromiter(chain.from_iterable(strong.pbar.values()), np.int64, len(w))
+    # a group's members ascend, so member k pairs, as the smaller index,
+    # with the later[k] members after it in its group
+    members = np.fromiter(chain.from_iterable(strong.groups.values()), np.int64)
+    sizes = np.fromiter(map(len, strong.groups.values()), np.int64, len(strong.groups))
+    ends = np.repeat(sizes.cumsum(), sizes)
+    later = ends - np.arange(1, len(members) + 1)
+    a = np.concatenate((w, np.repeat(members, later)))
+    b = np.concatenate((p, members[np.arange(len(a) - len(w)) + np.repeat(ends - later.cumsum(), later)]))
+    # A group's same-request working/protection pair is class 1: it shares
+    # a link, so pbar holds it too and the repeat is dropped below.  Class 2
+    # puts its working endpoint first.
+    wa, wb, ra, rb = working[a], working[b], request_of[a], request_of[b]
+    swap = wb > wa
+    first, second = np.where(swap, b, a), np.where(swap, a, b)
+    classes = np.where(wa == wb, 4 - wa, 2 - (ra == rb))
+    # A pair is one integer, block * n * n + first * n + second with block
+    # (class * R + r1) * R + r2, whose order is the order of the c1..c4
+    # tuples.  It fits in int64 while requests * variables stays below
+    # about 1.36e9; numpy would wrap a larger key silently.
+    block = (classes * n_req + request_of[first]) * n_req + request_of[second]
+    key = first * n + second
+    del w, p, members, ends, later, a, b, wa, wb, ra, rb, swap, first, second, classes
+    nn, span, top = n * n, n_req * n_req * n * n, 2**63 - 1
+    if 5 * span > top and len(key):  # some keys may not fit: find the largest
+        last = block.max()
+        if int(last) * nn + int(key[block == last].max()) > top:
+            raise ValueError(
+                f"{n_req} requests x {n} variables = {n_req * n} is too large for the conflict "
+                "sort key of an instance with shared links (limit about 1.36e9)"
+            )
+    key += block * nn
+    del block
+    key.sort()
+    fresh = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
+    first, second = np.divmod(key % nn, n)
+    return ConflictSets(instance, first, second, (key // span).astype(np.int8), strong)
 
 
 @dataclass(frozen=True)
@@ -250,6 +249,7 @@ class ConstraintCounts:
 
 
 def count_constraints(instance: Instance, conflict_sets: ConflictSets, strong: StrongGroups) -> ConstraintCounts:
+    check_built_for(instance, conflict_sets, strong)
     n_req = len(instance.requests)
     n_working = int(np.count_nonzero(instance.working))
     return ConstraintCounts(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rwap.conflicts import build_conflict_sets, build_strong_groups
+from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from rwap.instance import instance_from_dict, instance_to_dict
 from rwap.ip import build_ip
 from rwap.oracle import branch_and_bound
@@ -44,3 +44,15 @@ def test_branch_and_bound_refuses_conflict_sets_of_another_instance():
     inst = figure1_instance()
     with pytest.raises(ValueError, match="another instance"):
         branch_and_bound(inst, build_strong_groups(inst), 1, 11, conflict_sets=build_conflict_sets(_other()))
+
+
+def test_count_constraints_refuses_strong_groups_of_another_instance():
+    inst = figure1_instance()
+    with pytest.raises(ValueError, match="strong groups cover"):
+        count_constraints(inst, build_conflict_sets(inst), build_strong_groups(_other()))
+
+
+def test_count_constraints_refuses_conflict_sets_of_another_instance():
+    inst = figure1_instance()
+    with pytest.raises(ValueError, match="another instance"):
+        count_constraints(inst, build_conflict_sets(_other()), build_strong_groups(inst))
