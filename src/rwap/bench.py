@@ -16,6 +16,7 @@ from .conflicts import build_conflict_sets
 from .heuristic import RsConfig, rs_heur
 from .instance import Instance
 from .oracle import branch_and_bound, brute_force_ip
+from .qubo import DEFAULT_RHO_OFFSET
 from .weights import beta_base
 
 CSV_VERSION = "rwap-bench-v1"
@@ -66,7 +67,7 @@ def _run_task(task: BenchTask) -> dict:
         weights = beta_base(inst)
         alpha, beta = weights.alpha, weights.beta
         if task.method == "da":
-            rho = beta + (task.rho_offset if task.rho_offset is not None else 100)
+            rho = beta + (task.rho_offset if task.rho_offset is not None else DEFAULT_RHO_OFFSET)
             config = AnnealConfig(iterations=task.iterations, seed=task.seed)
             report = solve_rwap_da(inst, conflicts, alpha, beta, rho, config)
             row["rho"] = rho

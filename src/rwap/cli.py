@@ -14,7 +14,7 @@ from .heuristic import RsConfig, rs_heur
 from .instance import Solution, load_instance, report_to_dict, save_instance, verify_feasible, write_atomic
 from .ip import build_ip, export_lp
 from .oracle import branch_and_bound, brute_force_ip
-from .qubo import build_qubo, export_qubo, rho_base
+from .qubo import DEFAULT_RHO_OFFSET, build_qubo, export_qubo, rho_base
 from .reduce import MssGraph, mss_to_rwap
 from .weights import beta_base, compute_omega
 
@@ -101,7 +101,7 @@ def _cmd_export_qubo(args) -> int:
     inst = load_instance(args.instance)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
     conflicts = build_conflict_sets(inst)
-    rho = args.rho if args.rho is not None else beta + 100
+    rho = args.rho if args.rho is not None else beta + DEFAULT_RHO_OFFSET
     model = build_qubo(inst, conflicts, alpha, beta, rho)
     export_qubo(model, args.output)
     bound = rho_base(inst, alpha, beta)
@@ -114,7 +114,7 @@ def _cmd_solve(args) -> int:
     conflicts = build_conflict_sets(inst)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
     if args.method == "da":
-        rho = args.rho if args.rho is not None else beta + 100
+        rho = args.rho if args.rho is not None else beta + DEFAULT_RHO_OFFSET
         config = AnnealConfig(
             iterations=args.iterations,
             replicas=args.replicas,
@@ -124,10 +124,7 @@ def _cmd_solve(args) -> int:
         result = anneal(build_qubo(inst, conflicts, alpha, beta, rho), config)
         report = decode_result(inst, conflicts, alpha, beta, result, config.iterations)
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write("iteration,best_energy\n")
-                for iteration, energy in result.trace:
-                    fh.write(f"{iteration},{energy}\n")
+            write_atomic(args.trace, "iteration,best_energy\n" + "".join(f"{i},{e}\n" for i, e in result.trace))
     elif args.method == "rs":
         report = rs_heur(inst, conflicts, RsConfig(args.budget, args.seed), alpha, beta)
     elif args.method == "exact":

@@ -200,9 +200,6 @@ class Solution:
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.int8)
-
     def __len__(self) -> int:
         return len(self.bits)
 

@@ -1,11 +1,13 @@
 """Exact solvers: exhaustive enumeration and branch-and-bound.
 
 These are the ground truth the stochastic solvers are measured against.
-Enumeration is vectorised over chunks of the bit-vector space and is
-restricted to small variable counts; branch-and-bound searches over
+``_enumeration`` is the one loop over all bit vectors, in int8 chunks, and is
+restricted to small variable counts; the QUBO oracle, the feasible-vector
+oracles and ``qubo.rho_tight`` read it, and ``_penalty_totals`` scores a
+chunk's rows (zero exactly when feasible).  Branch-and-bound searches over
 per-request assignments with mutually-exclusive-group propagation and an
-optimistic objective bound, and remains exact whenever its node budget is
-not exhausted.
+optimistic objective bound, walking a stack of child generators, and remains
+exact whenever its node budget is not exhausted.
 """
 
 from __future__ import annotations
@@ -31,21 +33,25 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
-def _bits_chunk(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the full enumeration, variable 0 as the most
-    significant bit so that row order equals lexicographic bit-string order."""
-    ks = np.arange(start, stop, dtype=np.int64)
-    shifts = (n - 1 - np.arange(n, dtype=np.int64))[None, :]
-    return ((ks[:, None] >> shifts) & 1).astype(np.int8)
+def _enumeration(n: int):
+    """The full enumeration of n bits as (first row, int8 bits) chunks,
+    variable 0 as the most significant bit so that row order equals
+    lexicographic bit-string order.  Callers check the cap first."""
+    total, shifts = 1 << n, np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, 1 << CHUNK_BITS):
+        ks = np.arange(start, min(total, start + (1 << CHUNK_BITS)), dtype=np.int64)
+        yield start, ((ks[:, None] >> shifts) & 1).astype(np.int8)
 
 
-def _feasible_mask(instance: Instance, conflict_sets: ConflictSets, bits: np.ndarray) -> np.ndarray:
-    """Which rows of a stack of bit vectors satisfy every constraint."""
+def _penalty_totals(instance: Instance, conflict_sets: ConflictSets, bits: np.ndarray) -> np.ndarray:
+    """Per row of a stack of bit vectors, the QUBO penalty over rho:
+    (cw - cp)^2 + cw(cw - 1) per request plus the conflict pairs hit.  It is
+    zero exactly when the row is feasible."""
     cw, cp = request_counts(instance, bits)
-    ok = (cw == cp).all(axis=1) & (cw <= 1).all(axis=1)
+    totals = ((cw - cp) ** 2 + cw * (cw - 1)).sum(axis=1)
     if conflict_sets.pair_count:
-        ok &= ~((bits[:, conflict_sets.first] & bits[:, conflict_sets.second]).any(axis=1))
-    return ok
+        totals += (bits[:, conflict_sets.first] & bits[:, conflict_sets.second]).sum(axis=1)
+    return totals
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -56,11 +62,8 @@ def _check_cap(n: int, cap: int) -> None:
 def _feasible_chunks(instance: Instance, conflict_sets: ConflictSets):
     """Per chunk of the enumeration: its first row, the indices of its
     feasible rows and their bits as int64.  Callers check the cap first."""
-    n = instance.n_vars
-    total = 1 << n
-    for start in range(0, total, 1 << CHUNK_BITS):
-        bits = _bits_chunk(n, start, min(total, start + (1 << CHUNK_BITS)))
-        idx = np.flatnonzero(_feasible_mask(instance, conflict_sets, bits))
+    for start, bits in _enumeration(instance.n_vars):
+        idx = np.flatnonzero(_penalty_totals(instance, conflict_sets, bits) == 0)
         yield start, idx, bits[idx].astype(np.int64)
 
 
@@ -102,10 +105,9 @@ def brute_force_ip(
         order = np.lexsort((idx, fa, obj))[0]
         cand = (int(obj[order]), int(fa[order]), start + int(idx[order]))
         if best is None or cand < best:
-            best = cand
+            best, row = cand, sel[order]
     assert best is not None  # the all-zero vector is always feasible
-    bits_row = _bits_chunk(n, best[2], best[2] + 1)[0] if n else np.zeros(0, dtype=np.int8)
-    solution = Solution.from_array(bits_row)
+    solution = Solution.from_array(row)
     return make_report(
         instance, conflict_sets, solution, alpha, beta, method="exact", optimal=True, bound=best[0]
     )
@@ -115,24 +117,19 @@ def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:
     """Global minimum of a QUBO by full enumeration (lexicographic tie-break)."""
     n = qubo.n
     _check_cap(n, cap)
-    if n == 0:
-        return Solution.zeros(0), qubo.constant
     lin = np.asarray(qubo.linear, dtype=np.int64)
     upper = np.zeros((n, n), dtype=np.int64)
     qi, qj, qv = qubo.pair_arrays()
     upper[qi, qj] = qv
     best: tuple[int, int] | None = None  # (energy, index)
-    total = 1 << n
-    for start in range(0, total, 1 << CHUNK_BITS):
-        stop = min(total, start + (1 << CHUNK_BITS))
-        bits = _bits_chunk(n, start, stop).astype(np.int64)
+    for start, bits in _enumeration(n):
+        bits = bits.astype(np.int64)
         energy = qubo.constant + bits @ lin + ((bits @ upper) * bits).sum(axis=1)
         k = int(energy.argmin())  # argmin returns the first minimum: lex smallest
         cand = (int(energy[k]), start + k)
         if best is None or cand < best:
-            best = cand
-    bits_row = _bits_chunk(n, best[1], best[1] + 1)[0]
-    return Solution.from_array(bits_row), best[0]
+            best, row = cand, bits[k]
+    return Solution.from_array(row), best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,10 @@ def branch_and_bound(
     pair, which forces all group-mates to zero; the bound adds the best-case
     gain of every still-open grantable request.  Exact when the node budget
     is not exhausted, otherwise returns the incumbent with a proven lower
-    bound on the optimum.  The search keeps its own stack, so its depth (one
-    level per request) is not bounded by the interpreter's recursion limit.
+    bound on the optimum: the least bound of the incumbent and of every node
+    left with children unexplored.  The stack holds one child generator per
+    open node, so its depth (one level per request) is not bounded by the
+    interpreter's recursion limit.
     """
     check_built_for(instance, strong_groups, conflict_sets)
     # requests by descending best-case gain, working pairs before skipping
@@ -182,85 +181,56 @@ def branch_and_bound(
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + (min(0, alpha * order[i][0][0] - beta) if order[i] else 0)
 
-    n = instance.n_vars
-    assignment = [0] * n
+    assignment = [0] * instance.n_vars
     occupied: set[int] = set()  # slot ids of the granted pairs
-    incumbent_bits = tuple([0] * n)
-    incumbent_key = (0, 0, incumbent_bits)  # all-zero is always feasible
+    incumbent = (0, 0, tuple(assignment))  # (objective, links, bits); all-zero is feasible
     nodes = 0
-    exhausted = False
-    open_bound_min: int | None = None
+    unexplored: list[int] = []  # bounds of the nodes the node budget cut off; non-empty once it is spent
 
-    def note_open(bound: int) -> None:
-        nonlocal open_bound_min
-        open_bound_min = bound if open_bound_min is None else min(open_bound_min, bound)
-
-    # one frame per open node: [depth, objective, links, next pair, granted
-    # pair or None]; next pair len(pairs) + 1 marks a running skip branch
-    stack: list[list] = []
-
-    def visit(depth: int, cur_obj: int, cur_fa: int) -> None:
-        """Count and bound a node; push it when it has children."""
-        nonlocal nodes, exhausted, incumbent_key, incumbent_bits
-        bound = cur_obj + suffix[depth]
-        if exhausted or (node_limit is not None and nodes >= node_limit):
-            exhausted = True
-            note_open(bound)
-            return
-        nodes += 1
-        if bound > incumbent_key[0]:
-            return
-        if depth == len(order):
-            key = (cur_obj, cur_fa, tuple(assignment))
-            if key < incumbent_key:
-                incumbent_key = key
-                incumbent_bits = tuple(assignment)
-            return
-        stack.append([depth, cur_obj, cur_fa, 0, None])
-
-    visit(0, 0, 0)
-    while stack:
-        frame = stack[-1]
-        depth, cur_obj, cur_fa, k, granted = frame
-        pairs = order[depth]
-        if granted is not None:
-            _, iw, ip_, needed = granted
-            assignment[iw] = assignment[ip_] = 0
-            occupied.difference_update(needed)
-            frame[4] = None
-            if exhausted:
-                # alternatives at this node remain unexplored
-                note_open(cur_obj + suffix[depth])
-                stack.pop()
+    def children(depth: int, cur_obj: int, cur_fa: int):
+        """Each free pair's child with its slots marked, then the skip child."""
+        for combined, iw, ip_, needed in order[depth]:
+            if not occupied.isdisjoint(needed):
                 continue
-        elif k > len(pairs):
-            stack.pop()
-            continue
-        while k < len(pairs) and not occupied.isdisjoint(pairs[k][3]):
-            k += 1
-        frame[3] = k + 1
-        if k < len(pairs):
-            combined, iw, ip_, needed = frame[4] = pairs[k]
             occupied.update(needed)
             assignment[iw] = assignment[ip_] = 1
-            visit(depth + 1, cur_obj + alpha * combined - beta, cur_fa + combined)
+            yield depth + 1, cur_obj + alpha * combined - beta, cur_fa + combined
+            assignment[iw] = assignment[ip_] = 0
+            occupied.difference_update(needed)
+            if unexplored:  # the budget ran out below: the other pairs stay open
+                unexplored.append(cur_obj + suffix[depth])
+                return
+        yield depth + 1, cur_obj, cur_fa
+
+    stack = [iter([(0, 0, 0)])]  # the root, as the only child of a one-item iterator
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        depth, cur_obj, cur_fa = child
+        bound = cur_obj + suffix[depth]
+        if node_limit is not None and nodes >= node_limit:
+            unexplored.append(bound)
+            continue
+        nodes += 1
+        if bound > incumbent[0]:
+            continue
+        if depth == len(order):
+            incumbent = min(incumbent, (cur_obj, cur_fa, tuple(assignment)))
         else:
-            visit(depth + 1, cur_obj, cur_fa)
+            stack.append(children(depth, cur_obj, cur_fa))
 
     if conflict_sets is None:
         conflict_sets = build_conflict_sets(instance)
-    solution = Solution(bits=incumbent_bits)
-    lower = incumbent_key[0]
-    if exhausted and open_bound_min is not None:
-        lower = min(lower, open_bound_min)
     return make_report(
         instance,
         conflict_sets,
-        solution,
+        Solution(bits=incumbent[2]),
         alpha,
         beta,
         method="bnb",
-        optimal=not exhausted,
-        bound=lower,
+        optimal=not unexplored,
+        bound=min([incumbent[0], *unexplored]),
         nodes=nodes,
     )

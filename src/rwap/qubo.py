@@ -27,12 +27,14 @@ from .instance import (
     Instance,
     Solution,
     _selected,
-    f_alpha,
-    f_beta,
     objective_coefficients,
     request_counts,
     write_atomic,
 )
+from .oracle import _enumeration, _penalty_totals
+
+
+DEFAULT_RHO_OFFSET = 100  # the CLI and bench default penalty is beta + DEFAULT_RHO_OFFSET
 
 
 @dataclass(frozen=True)
@@ -262,20 +264,11 @@ def rho_tight(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta:
     n = instance.n_vars
     if n > cap:
         raise ValueError(f"{n} variables exceed the diagnostic cap of {cap}")
-    feasible_max = None
-    requirements = [1]
-    rows = []
-    for k in range(1 << n):
-        bits = tuple((k >> (n - 1 - i)) & 1 for i in range(n))
-        g = penalty(instance, conflict_sets, bits).total_g
-        f = alpha * f_alpha(instance, bits) - beta * f_beta(instance, bits)
-        if g == 0:
-            feasible_max = f if feasible_max is None else max(feasible_max, f)
-        else:
-            rows.append((f, g))
-    for f, g in rows:
-        requirements.append((feasible_max - f) // g + 1)
-    return max(requirements)
+    coefficients = objective_coefficients(instance, alpha, beta)
+    chunks = [(bits @ coefficients, _penalty_totals(instance, conflict_sets, bits)) for _, bits in _enumeration(n)]
+    f, g = (np.concatenate(parts) for parts in zip(*chunks))
+    infeasible = g > 0
+    return int(((f[~infeasible].max() - f[infeasible]) // g[infeasible]).max(initial=0)) + 1
 
 
 # plain-text sparse export: header "n constant", then "i j coeff" rows

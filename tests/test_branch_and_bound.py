@@ -4,6 +4,7 @@ replaced, and on more requests than the interpreter's recursion limit."""
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwap.conflicts import build_conflict_sets, build_strong_groups
 from rwap.gen import generate, synth_topology
@@ -11,6 +12,7 @@ from rwap.instance import PROTECTION, WORKING
 from rwap.oracle import branch_and_bound
 
 from helpers import small_instance
+from test_conflicts import tangled_instances
 
 
 def recursive_branch_and_bound(instance, strong, alpha, beta, node_limit=None):
@@ -103,3 +105,13 @@ def test_search_deeper_than_the_recursion_limit():
     report = branch_and_bound(inst, build_strong_groups(inst), 1, 2000, node_limit=2000)
     assert report.nodes == 2000 and not report.optimal
     assert report.feasible and report.bound <= report.objective
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tangled_instances(), limit=st.one_of(st.none(), st.integers(0, 60)))
+def test_generator_search_equals_recursive_reference_on_tangled_instances(inst, limit):
+    strong, conflicts = build_strong_groups(inst), build_conflict_sets(inst)
+    for alpha, beta in ((1, 20), (0, 3)):
+        report = branch_and_bound(inst, strong, alpha, beta, limit, conflicts)
+        got = (report.solution.bits, report.nodes, report.bound, report.optimal)
+        assert got == recursive_branch_and_bound(inst, strong, alpha, beta, limit)

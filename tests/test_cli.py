@@ -338,3 +338,33 @@ def test_written_files_get_the_mode_of_a_plain_open(inst_path, tmp_path, capsys,
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def _trace_argv(inst_path, trace):
+    return ["solve", inst_path, "--method", "da", "--iterations", "50", "--trace", str(trace)]
+
+
+def test_failed_trace_write_leaves_the_previous_file(inst_path, tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("previous\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def fail(*args):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        main(_trace_argv(inst_path, trace))
+    assert trace.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+
+
+def test_trace_file_gets_the_mode_of_a_plain_open(inst_path, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(_trace_argv(inst_path, trace)) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o640
+    assert trace.read_text().splitlines()[0] == "iteration,best_energy"
