@@ -9,14 +9,16 @@ resetting to zero on the next accepted flip (dynamic offset).  In tempering
 mode, replicas run at fixed temperatures from a geometric ladder and
 periodically exchange their states between adjacent rungs (replica
 exchange); in single mode each replica cools geometrically over iterations
-and never exchanges.
+and never exchanges.  Both modes read one temperature table indexed by
+(iteration, replica): the ladder repeated for every iteration, or the
+cooling curve repeated for every replica.
 
 Randomness is organised for reproducibility regardless of host parallelism:
 every replica owns two substreams derived from (seed, replica), one for the
 per-variable acceptance draws and one for the candidate choice, and each
 exchange round draws from a stream derived from (seed, round).  Flip i is a
 candidate iff u_i < exp(-max(0, delta_i - offset) / T), evaluated as
-max(0, delta_i - offset) < -T * log(u_i) to avoid overflow.
+max(0, delta_i - offset) < log(u_i) * -T to avoid overflow.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class AnnealConfig:
     replicas: int = 8
     t_min: float = 1.0
     t_max: float | None = None  # defaults to rho at solve time
-    offset_increment: float | None = None  # defaults to max(rho / 100, 1)
     exchange_interval: int = 100
     seed: int = 0
     mode: str = "tempering"  # or "single"
@@ -74,12 +75,6 @@ def _exchange_stream(seed: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, round_index))))
 
 
-def _ladder(t_max: float, t_min: float, count: int) -> np.ndarray:
-    if count == 1:
-        return np.array([t_max])
-    return np.geomspace(t_max, t_min, count)
-
-
 def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     n = qubo.n
     if n == 0:
@@ -94,7 +89,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     iters = config.iterations
     t_max = float(qubo.rho) if config.t_max is None else config.t_max
     t_max = max(t_max, config.t_min)
-    increment = max(qubo.rho / 100.0, 1.0) if config.offset_increment is None else config.offset_increment
+    increment = max(qubo.rho / 100.0, 1.0)
 
     lin = np.array(qubo.linear, dtype=np.int64)
     indptr, indices, data = qubo.adjacency()
@@ -110,21 +105,14 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     energy = np.full(reps, qubo.constant, dtype=np.int64)
     offset = np.zeros(reps)
 
-    if config.mode == "tempering":
-        temps = _ladder(t_max, config.t_min, reps)
-        schedule = None
-    else:
-        temps = None
-        if iters <= 1:
-            schedule = np.full(max(iters, 1), t_max)
-        else:
-            schedule = np.geomspace(t_max, config.t_min, iters)
+    # temperature of each (iteration, replica), a read-only view
+    tempering = config.mode == "tempering"
+    temps = np.geomspace(t_max, config.t_min, reps if tempering else iters)
+    table = np.broadcast_to(temps if tempering else temps[:, None], (iters, reps))
 
     flip_streams = [_replica_stream(config.seed, r, 0) for r in range(reps)]
     choice_streams = [_replica_stream(config.seed, r, 1) for r in range(reps)]
 
-    # log(u) * -T equals -log(u) * T exactly: rounding is sign-symmetric
-    scale = -temps if temps is not None else np.full(reps, -1.0)
     # iterations per refill, sized so thresholds stay in a core's cache;
     # each stream is read in order, so the size does not change results
     block = max(8, min(256, 200_000 // max(n * reps, 1)))
@@ -143,17 +131,14 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     for t in range(iters):
         bt = t % block
         if bt == 0:
+            cold = -table[t : t + block]
             with np.errstate(divide="ignore"):
                 for r in range(reps):
-                    u = flip_streams[r].random((block, n))
+                    u = flip_streams[r].random((block, n))[: len(cold)]
                     np.log(u, out=u)
-                    np.multiply(u, scale[r], out=thresholds[:, r, :])
+                    np.multiply(u, cold[:, r, None], out=thresholds[: len(cold), r])
                     choices[:, r] = choice_streams[r].random(block)
-        if schedule is not None:
-            np.multiply(thresholds[bt], schedule[t], out=gate)
-            np.add(gate, offset[:, None], out=gate)
-        else:
-            np.add(thresholds[bt], offset[:, None], out=gate)
+        np.add(thresholds[bt], offset[:, None], out=gate)
         np.less(delta, gate, out=candidates)
 
         # replicas without a candidate raise their offset; the others take
@@ -187,7 +172,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                 best_bits = state[r_min].copy()
                 trace.append((t + 1, best_energy))
 
-        if temps is not None and reps > 1 and (t + 1) % config.exchange_interval == 0:
+        if tempering and reps > 1 and (t + 1) % config.exchange_interval == 0:
             draws = _exchange_stream(config.seed, exchange_round).random(reps - 1)
             exchange_round += 1
             for k in range(reps - 1):

@@ -17,7 +17,7 @@ numpy array work, with one sortable int64 key per pair and no loop over pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -161,9 +161,10 @@ class StrongGroups:
     wavelength), in key order, to the sorted variable indices of every
     lightpath covering that slot; groups with fewer than two members
     constrain nothing and are skipped at constraint emission but kept here
-    for counting.
+    for counting.  instance is the instance the groups were built for.
     """
 
+    instance: Instance = field(compare=False, repr=False)
     pbar: dict[tuple[int, int], tuple[int, ...]]
     groups: dict[tuple[int, int], tuple[int, ...]]
     slots: tuple[tuple[int, ...], ...]
@@ -211,6 +212,7 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
                 groups.setdefault(s, []).append(i)
             slots.append(covered)
     return StrongGroups(
+        instance=instance,
         pbar=pbar,
         groups={divmod(s, n_wl): tuple(members) for s, members in sorted(groups.items())},
         slots=tuple(slots),
@@ -220,10 +222,9 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
 def check_built_for(instance: Instance, *structures: ConflictSets | StrongGroups | None) -> None:
     """Raise ValueError for conflict sets or strong groups built for another instance."""
     for s in structures:
-        if isinstance(s, ConflictSets) and s.instance is not instance and s.instance != instance:
-            raise ValueError("conflict sets were built for another instance")
-        if isinstance(s, StrongGroups) and len(s.slots) != instance.n_vars:
-            raise ValueError(f"strong groups cover {len(s.slots)} variables, the instance has {instance.n_vars}")
+        if s is not None and s.instance is not instance and s.instance != instance:
+            what = "conflict sets were built for" if isinstance(s, ConflictSets) else "strong groups cover"
+            raise ValueError(f"{what} another instance")
 
 
 @dataclass(frozen=True)

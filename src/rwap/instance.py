@@ -433,6 +433,6 @@ def report_to_dict(report: SolveReport) -> dict:
     }
     for key in ("repaired", "optimal", "bound", "energy", "iterations", "permutations", "nodes"):
         val = getattr(report, key)
-        if val not in (None, False):
+        if val is not None:
             out[key] = val
     return out

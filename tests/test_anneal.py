@@ -2,6 +2,7 @@ import pytest
 
 from rwap.anneal import AnnealConfig, AnnealResult, anneal, repair, solve_rwap_da
 from rwap.conflicts import build_conflict_sets
+from rwap.gen import generate, synth_topology
 from rwap.instance import Instance, Lightpath, Network, Request
 from rwap.oracle import brute_force_qubo
 from rwap.qubo import QuboModel, build_qubo
@@ -66,7 +67,6 @@ def test_dynamic_offset_unsticks_cold_search():
         replicas=1,
         t_min=1e-6,
         t_max=1e-6,
-        offset_increment=1.0,
         seed=3,
         mode="single",
     )
@@ -152,3 +152,36 @@ def test_repair_clears_cheapest_damage_first():
     bits = [1, 0]
     assert repair(inst, cs, bits, alpha=1, beta=4)
     assert bits == [0, 0]
+
+
+# Seeded anneal results on a 16-variable instance (alpha 1, beta 15), computed
+# once and checked in.  300 iterations end inside the second refill block of
+# 256.  The last two rows leave t_max unset with rho 2 below t_min 50, so t_max
+# is clamped up to t_min.  Columns: mode, iterations, replicas, rho, t_min,
+# then best bits, best energy, accepted flips, offset activations and trace.
+_PINNED = [
+    ("tempering", 0, 1, 115, 1.0, "0000000000000000", 0, 0, 0, ((0, 0),)),
+    ("tempering", 0, 3, 115, 1.0, "0000000000000000", 0, 0, 0, ((0, 0),)),
+    ("tempering", 1, 1, 115, 1.0, "0000000000000000", 0, 1, 0, ((0, 0),)),
+    ("tempering", 1, 3, 115, 1.0, "0000000000000000", 0, 1, 2, ((0, 0),)),
+    ("tempering", 300, 1, 115, 1.0, "0010010000010001", -19, 300, 0, ((0, 0), (14, -9), (38, -18), (236, -19))),
+    ("tempering", 300, 3, 115, 1.0, "0001010000100010", -19, 322, 578, ((0, 0), (14, -9), (38, -18), (233, -19))),
+    ("single", 0, 1, 115, 1.0, "0000000000000000", 0, 0, 0, ((0, 0),)),
+    ("single", 0, 3, 115, 1.0, "0000000000000000", 0, 0, 0, ((0, 0),)),
+    ("single", 1, 1, 115, 1.0, "0000000000000000", 0, 1, 0, ((0, 0),)),
+    ("single", 1, 3, 115, 1.0, "0000000000000000", 0, 3, 0, ((0, 0),)),
+    ("single", 300, 1, 115, 1.0, "0001010000100010", -19, 84, 216, ((0, 0), (8, -9), (38, -16), (47, -18), (131, -19))),
+    ("single", 300, 3, 115, 1.0, "0010010000010001", -19, 282, 618, ((0, 0), (8, -9), (10, -17), (47, -18), (52, -19))),
+    ("tempering", 300, 3, 2, 50.0, "0100000000110001", -24, 900, 0,
+     ((0, 0), (1, -10), (2, -12), (3, -17), (4, -19), (11, -21), (14, -24))),
+    ("single", 300, 3, 2, 50.0, "0110100000110001", -26, 900, 0,
+     ((0, 0), (1, -10), (2, -12), (3, -17), (4, -19), (11, -21), (14, -24), (182, -26))),
+]
+
+
+@pytest.mark.parametrize("mode, iterations, replicas, rho, t_min, bits, energy, accepted, activations, trace", _PINNED)
+def test_seeded_results_are_pinned(mode, iterations, replicas, rho, t_min, bits, energy, accepted, activations, trace):
+    inst = generate(synth_topology(8, 1.6, 3), 2, 2, 2, 3)
+    q = build_qubo(inst, build_conflict_sets(inst), alpha=1, beta=15, rho=rho)
+    config = AnnealConfig(iterations, replicas, t_min=t_min, exchange_interval=50, seed=4, mode=mode)
+    assert anneal(q, config) == AnnealResult(tuple(map(int, bits)), energy, trace, accepted, activations)

@@ -11,7 +11,7 @@ from rwap.conflicts import build_conflict_sets, build_strong_groups
 from rwap.instance import load_instance, save_instance
 from rwap.ip import build_ip, lp_text
 from rwap.qubo import build_qubo, qubo_text
-from rwap.weights import beta_base
+from rwap.weights import beta_base, tight_example
 
 from helpers import figure1_instance, parallel_link_requests
 
@@ -126,6 +126,23 @@ def test_solve_methods_agree_on_hand_example(inst_path, tmp_path, capsys, method
     payload = json.loads(out.read_text())
     assert payload["f_beta"] == 2 and payload["feasible"]
     assert set(payload) >= {"bits", "granted", "objective", "f_alpha", "f_beta"}
+
+
+@pytest.mark.parametrize(
+    "method,extra,expected",
+    [
+        ("bnb", ["--node-limit", "0"], {"optimal": False, "bound": -1, "nodes": 0}),
+        ("exact", ["--beta", "1"], {"optimal": True, "bound": 0}),
+        ("da", ["--iterations", "0"], {"energy": 0, "iterations": 0, "repaired": False}),
+    ],
+)
+def test_solution_json_keeps_zero_and_false_fields(tmp_path, capsys, method, extra, expected):
+    path = tmp_path / "tight.json"
+    save_instance(tight_example(1, 1), str(path))
+    rc = main(["solve", str(path), "--method", method] + extra)
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload.get(key) for key in expected} == expected
 
 
 def test_solve_trace_written(inst_path, tmp_path):

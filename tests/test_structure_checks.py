@@ -3,6 +3,7 @@
 import pytest
 
 from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
+from rwap.gen import generate, synth_topology
 from rwap.instance import instance_from_dict, instance_to_dict
 from rwap.ip import build_ip
 from rwap.oracle import branch_and_bound
@@ -56,3 +57,23 @@ def test_count_constraints_refuses_conflict_sets_of_another_instance():
     inst = figure1_instance()
     with pytest.raises(ValueError, match="another instance"):
         count_constraints(inst, build_conflict_sets(_other()), build_strong_groups(inst))
+
+
+def _equal_size_pair():
+    a = generate(synth_topology(8, 1.5, 1), 2, 3, 1, 1)
+    b = generate(synth_topology(8, 1.5, 2), 2, 3, 1, 5)
+    assert a.n_vars == b.n_vars == 12 and a != b
+    return a, b
+
+
+def test_build_ip_refuses_strong_groups_of_another_instance_of_equal_size():
+    a, b = _equal_size_pair()
+    with pytest.raises(ValueError, match="strong groups cover"):
+        build_ip(a, build_strong_groups(b), 1, 11, "strong")
+
+
+def test_branch_and_bound_refuses_strong_groups_of_another_instance_of_equal_size():
+    a, b = _equal_size_pair()
+    assert branch_and_bound(a, build_strong_groups(a), 1, 100).objective == 0
+    with pytest.raises(ValueError, match="strong groups cover"):
+        branch_and_bound(a, build_strong_groups(b), 1, 100)
