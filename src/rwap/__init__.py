@@ -28,6 +28,7 @@ from .instance import (
     instance_to_dict,
     ip_objective,
     load_instance,
+    network_from_dict,
     save_instance,
     verify_feasible,
 )

@@ -1,5 +1,7 @@
-"""Benchmark harness: one CSV row per (instance, method, seed) and
-per-method aggregate rows, with optional penalty-coefficient sweeps."""
+"""Method dispatch and benchmark harness: ``solve`` maps each method name to
+its solver for the command line and for every benchmark row; the harness
+writes one CSV row per (instance, method, seed) and per-method aggregate
+rows, with optional penalty-coefficient sweeps."""
 
 from __future__ import annotations
 
@@ -11,12 +13,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .anneal import AnnealConfig, solve_rwap_da
-from .conflicts import build_conflict_sets
+from .anneal import AnnealConfig, AnnealResult, anneal, decode_result
+from .conflicts import ConflictSets, build_conflict_sets
 from .heuristic import RsConfig, rs_heur
-from .instance import Instance
+from .instance import Instance, SolveReport
 from .oracle import branch_and_bound, brute_force_ip
-from .qubo import DEFAULT_RHO_OFFSET
+from .qubo import DEFAULT_RHO_OFFSET, build_qubo
 from .weights import beta_base
 
 CSV_VERSION = "rwap-bench-v1"
@@ -57,6 +59,26 @@ def worker_count() -> int:
         return 1
 
 
+def solve(
+    instance: Instance, conflicts: ConflictSets, method: str, alpha: int, beta: int, *, seed: int, rho: int,
+    iterations: int, replicas: int = AnnealConfig.replicas, mode: str = AnnealConfig.mode, permutations: int,
+    node_limit: int | None,
+) -> tuple[SolveReport, AnnealResult | None]:
+    """Run one method (da, rs, exact or bnb), which reads only its own options.
+    Returns the report and, for da only, the raw annealer result for a trace."""
+    if method == "da":
+        config = AnnealConfig(iterations=iterations, replicas=replicas, seed=seed, mode=mode)
+        result = anneal(build_qubo(instance, conflicts, alpha, beta, rho), config)
+        return decode_result(instance, conflicts, alpha, beta, result, iterations), result
+    if method == "rs":
+        return rs_heur(instance, conflicts, RsConfig(permutations, seed), alpha, beta), None
+    if method == "exact":
+        return brute_force_ip(instance, conflicts, alpha, beta), None
+    if method == "bnb":
+        return branch_and_bound(instance, conflicts.strong, alpha, beta, node_limit, conflicts), None
+    raise ValueError(f"unknown method {method!r}")
+
+
 def _run_task(task: BenchTask) -> dict:
     row: dict = {c: "" for c in CSV_COLUMNS}
     row.update(instance=task.label, method=task.method, seed=task.seed)
@@ -65,23 +87,14 @@ def _run_task(task: BenchTask) -> dict:
         inst = task.instance
         conflicts = build_conflict_sets(inst)
         weights = beta_base(inst)
-        alpha, beta = weights.alpha, weights.beta
-        if task.method == "da":
-            rho = beta + (task.rho_offset if task.rho_offset is not None else DEFAULT_RHO_OFFSET)
-            config = AnnealConfig(iterations=task.iterations, seed=task.seed)
-            report = solve_rwap_da(inst, conflicts, alpha, beta, rho, config)
-            row["rho"] = rho
-            row["budget"] = task.iterations
-        elif task.method == "rs":
-            report = rs_heur(inst, conflicts, RsConfig(task.permutations, task.seed), alpha, beta)
-            row["budget"] = task.permutations
-        elif task.method == "exact":
-            report = brute_force_ip(inst, conflicts, alpha, beta)
-        elif task.method == "bnb":
-            report = branch_and_bound(inst, conflicts.strong, alpha, beta, task.node_limit, conflicts)
-            row["budget"] = task.node_limit if task.node_limit is not None else ""
-        else:
-            raise ValueError(f"unknown method {task.method!r}")
+        rho = weights.beta + (task.rho_offset if task.rho_offset is not None else DEFAULT_RHO_OFFSET)
+        report, result = solve(
+            inst, conflicts, task.method, weights.alpha, weights.beta, seed=task.seed, rho=rho,
+            iterations=task.iterations, permutations=task.permutations, node_limit=task.node_limit,
+        )
+        budget = {"da": task.iterations, "rs": task.permutations, "bnb": task.node_limit}.get(task.method)
+        row["rho"] = rho if result is not None else ""
+        row["budget"] = budget if budget is not None else ""
         row["granted"] = report.f_beta
         row["links"] = report.f_alpha
         row["links_per_granted"] = round(report.f_alpha / report.f_beta, 3) if report.f_beta else ""

@@ -7,13 +7,12 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .anneal import AnnealConfig, anneal, decode_result
 from .conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from .gen import generate, synth_topology
-from .heuristic import RsConfig, rs_heur
-from .instance import Solution, load_instance, report_to_dict, save_instance, verify_feasible, write_atomic
+from .instance import (
+    Solution, load_instance, network_from_dict, report_to_dict, save_instance, verify_feasible, write_atomic,
+)
 from .ip import build_ip, export_lp
-from .oracle import branch_and_bound, brute_force_ip
 from .qubo import DEFAULT_RHO_OFFSET, build_qubo, export_qubo, rho_base
 from .reduce import MssGraph, mss_to_rwap
 from .weights import beta_base, compute_omega
@@ -26,17 +25,22 @@ def _weights_for(instance, alpha, beta):
     return w.alpha, w.beta
 
 
+def _print_data(data: dict, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps(data, indent=1))
+    else:
+        for key, value in data.items():
+            print(f"{key}: {value}")
+
+
 def _cmd_gen(args) -> int:
     if args.topology.startswith("synth:"):
         nodes_s, deg_s = args.topology[len("synth:"):].split(",")
         topo = synth_topology(int(nodes_s), float(deg_s), seed=args.seed)
     else:
         # either a bare {nodes, links} document or a full instance file
-        from .instance import Network
-
         with open(args.topology, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        topo = Network(node_count=int(doc["nodes"]), links=tuple((int(t), int(h)) for t, h in doc["links"]))
+            topo = network_from_dict(json.load(fh))
     inst = generate(topo, args.wavelengths, args.requests, args.paths, args.seed)
     save_instance(inst, args.output)
     print(f"wrote {args.output}: {inst.n_vars} variables, {len(inst.requests)} requests")
@@ -60,11 +64,7 @@ def _cmd_conflicts(args) -> int:
         "strong_cons_per_var": round(counts.strong_ratio, 2),
         "strong_cons_per_var_counting_singleton_groups": round(counts.strong_ratio_all_nonempty, 2),
     }
-    if args.format == "json":
-        print(json.dumps(data, indent=1))
-    else:
-        for key, value in data.items():
-            print(f"{key}: {value}")
+    _print_data(data, args.format)
     return 0
 
 
@@ -76,11 +76,7 @@ def _cmd_weights(args) -> int:
         report = compute_omega(inst)
         data["omega_eq"] = str(report.omega_eq) if report.omega_eq is not None else None
         data["beta_tight"] = report.beta_tight
-    if args.format == "json":
-        print(json.dumps(data, indent=1))
-    else:
-        for key, value in data.items():
-            print(f"{key}: {value}")
+    _print_data(data, args.format)
     return 0
 
 
@@ -111,30 +107,16 @@ def _cmd_export_qubo(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    conflicts = build_conflict_sets(inst)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
-    if args.method == "da":
-        rho = args.rho if args.rho is not None else beta + DEFAULT_RHO_OFFSET
-        config = AnnealConfig(
-            iterations=args.iterations,
-            replicas=args.replicas,
-            seed=args.seed,
-            mode=args.mode,
-        )
-        result = anneal(build_qubo(inst, conflicts, alpha, beta, rho), config)
-        report = decode_result(inst, conflicts, alpha, beta, result, config.iterations)
-        if args.trace:
-            write_atomic(args.trace, "iteration,best_energy\n" + "".join(f"{i},{e}\n" for i, e in result.trace))
-    elif args.method == "rs":
-        report = rs_heur(inst, conflicts, RsConfig(args.budget, args.seed), alpha, beta)
-    elif args.method == "exact":
-        report = brute_force_ip(inst, conflicts, alpha, beta)
-    elif args.method == "bnb":
-        report = branch_and_bound(inst, conflicts.strong, alpha, beta, args.node_limit, conflicts)
-    else:
-        raise SystemExit(f"unknown method {args.method!r}")
-    payload = report_to_dict(report)
-    text = json.dumps(payload, indent=1)
+    report, result = bench_mod.solve(
+        inst, build_conflict_sets(inst), args.method, alpha, beta, seed=args.seed,
+        rho=args.rho if args.rho is not None else beta + DEFAULT_RHO_OFFSET,
+        iterations=args.iterations, replicas=args.replicas, mode=args.mode,
+        permutations=args.budget, node_limit=args.node_limit,
+    )
+    if args.trace and result is not None:
+        write_atomic(args.trace, "iteration,best_energy\n" + "".join(f"{i},{e}\n" for i, e in result.trace))
+    text = json.dumps(report_to_dict(report), indent=1)
     if args.output:
         write_atomic(args.output, text + "\n")
     print(text)
@@ -178,33 +160,30 @@ def _cmd_bench(args) -> int:
     methods = args.methods.split(",")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
     sweep = [int(s) for s in args.rho_sweep.split(",")] if args.rho_sweep else [None]
-    tasks = []
-    for path in args.instances:
-        inst = load_instance(path)
-        for method in methods:
-            offsets = sweep if method == "da" else [None]
-            for offset in offsets:
-                for seed in seeds:
-                    tasks.append(
-                        bench_mod.BenchTask(
-                            label=path,
-                            instance=inst,
-                            method=method,
-                            seed=seed,
-                            iterations=args.iterations,
-                            permutations=args.budget,
-                            node_limit=args.node_limit,
-                            rho_offset=offset,
-                        )
-                    )
+    instances = [(path, load_instance(path)) for path in args.instances]
+    tasks = [
+        bench_mod.BenchTask(
+            label=path,
+            instance=inst,
+            method=method,
+            seed=seed,
+            iterations=args.iterations,
+            permutations=args.budget,
+            node_limit=args.node_limit,
+            rho_offset=offset,
+        )
+        for path, inst in instances
+        for method in methods
+        for offset in (sweep if method == "da" else [None])
+        for seed in seeds
+    ]
     rows = bench_mod.run_bench(tasks)
     text = bench_mod.rows_to_csv(rows) if args.format == "csv" else bench_mod.rows_to_json(rows)
     if args.output:
         write_atomic(args.output, text)
     else:
         print(text, end="")
-    failures = [r for r in rows if r.get("error")]
-    return 1 if failures else 0
+    return 1 if any(r["error"] for r in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

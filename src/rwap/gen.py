@@ -76,19 +76,9 @@ def k_shortest_paths(net: Network, source: int, target: int, k: int) -> list[tup
     accepted = [first]
     known = {first}
     candidates: list[tuple[int, tuple[int, ...]]] = []
-    node_seq_cache: dict[tuple[int, ...], list[int]] = {}
-
-    def nodes_of(path: tuple[int, ...]) -> list[int]:
-        if path not in node_seq_cache:
-            seq = [source]
-            for lid in path:
-                seq.append(net.links[lid][1])
-            node_seq_cache[path] = seq
-        return node_seq_cache[path]
-
     while len(accepted) < k:
         prev = accepted[-1]
-        prev_nodes = nodes_of(prev)
+        prev_nodes = [source, *(net.links[lid][1] for lid in prev)]
         for i in range(len(prev)):
             root = prev[:i]
             spur_node = prev_nodes[i]
@@ -176,20 +166,15 @@ def generate(
             continue  # resample: move to the next unused pair
         if len(paths) < paths_per_kind:
             log.warning("path pool for (%d, %d) has only %d entries", s, t, len(paths))
-            w_idx = list(range(len(paths)))
-            p_idx = list(range(len(paths)))
+            w_idx = p_idx = list(range(len(paths)))
         else:
             w_idx = [int(i) for i in rng.choice(len(paths), size=paths_per_kind, replace=False)]
             p_idx = [int(i) for i in rng.choice(len(paths), size=paths_per_kind, replace=False)]
-        working = tuple(
-            Lightpath(links=paths[i], wavelength=lam) for i in w_idx for lam in range(wavelengths)
+        working, protection = (
+            tuple(Lightpath(links=paths[i], wavelength=lam) for i in idx for lam in range(wavelengths))
+            for idx in (w_idx, p_idx)
         )
-        protection = tuple(
-            Lightpath(links=paths[i], wavelength=lam) for i in p_idx for lam in range(wavelengths)
-        )
-        requests.append(
-            Request(id=len(requests), source=s, destination=t, working=working, protection=protection)
-        )
+        requests.append(Request(id=len(requests), source=s, destination=t, working=working, protection=protection))
     if len(requests) < request_count:
         raise GenerationError(
             f"only {len(requests)} of {request_count} requests admit a path in this topology"

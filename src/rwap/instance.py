@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -365,30 +365,32 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict) -> Instance:
+def network_from_dict(data: dict) -> Network:
+    """The {nodes, links} part of an instance document."""
     try:
-        net = Network(
-            node_count=int(data["nodes"]),
-            links=tuple((int(t), int(h)) for t, h in data["links"]),
-        )
-        requests = []
-        for rid, rd in enumerate(data["requests"]):
-            requests.append(
-                Request(
-                    id=rid,
-                    source=int(rd["source"]),
-                    destination=int(rd["dest"]),
-                    working=tuple(
-                        Lightpath(links=tuple(int(e) for e in lp["links"]), wavelength=int(lp["wavelength"]))
-                        for lp in rd["working"]
-                    ),
-                    protection=tuple(
-                        Lightpath(links=tuple(int(e) for e in lp["links"]), wavelength=int(lp["wavelength"]))
-                        for lp in rd["protection"]
-                    ),
-                )
+        return Network(node_count=int(data["nodes"]), links=tuple((int(t), int(h)) for t, h in data["links"]))
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed network document: {exc}") from exc
+
+
+def _lightpaths(docs: Iterable[dict]) -> tuple[Lightpath, ...]:
+    return tuple(Lightpath(links=tuple(int(e) for e in lp["links"]), wavelength=int(lp["wavelength"])) for lp in docs)
+
+
+def instance_from_dict(data: dict) -> Instance:
+    net = network_from_dict(data)
+    try:
+        requests = tuple(
+            Request(
+                id=rid,
+                source=int(rd["source"]),
+                destination=int(rd["dest"]),
+                working=_lightpaths(rd["working"]),
+                protection=_lightpaths(rd["protection"]),
             )
-        return Instance(network=net, wavelength_count=int(data["wavelengths"]), requests=tuple(requests))
+            for rid, rd in enumerate(data["requests"])
+        )
+        return Instance(network=net, wavelength_count=int(data["wavelengths"]), requests=requests)
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
@@ -431,8 +433,7 @@ def report_to_dict(report: SolveReport) -> dict:
         "alpha": report.alpha,
         "beta": report.beta,
     }
-    for key in ("repaired", "optimal", "bound", "energy", "iterations", "permutations", "nodes"):
-        val = getattr(report, key)
-        if val is not None:
-            out[key] = val
+    for f in fields(SolveReport):
+        if f.default is not MISSING and (val := getattr(report, f.name)) is not None:
+            out[f.name] = val
     return out

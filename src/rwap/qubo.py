@@ -149,10 +149,14 @@ class QuboModel:
         """The stored (i, j, q) arrays, read-only, keys ascending."""
         return self.quadratic.i, self.quadratic.j, self.quadratic.q
 
-    def energy(self, bits: Solution | Sequence[int]) -> int:
+    def _bits(self, bits: Solution | Sequence[int]) -> Sequence[int]:
         raw = bits.bits if isinstance(bits, Solution) else bits
         if len(raw) != self.n:
             raise DimensionError(f"bit vector has {len(raw)} bits, model has {self.n} variables")
+        return raw
+
+    def energy(self, bits: Solution | Sequence[int]) -> int:
+        raw = self._bits(bits)
         qi, qj, qv = self.pair_arrays()
         on = np.asarray(raw, dtype=bool)
         total = self.constant + sum(c for c, b in zip(self.linear, raw) if b)
@@ -242,7 +246,7 @@ def penalty(instance: Instance, conflict_sets: ConflictSets, solution: Solution 
 
 def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var_index: int) -> int:
     """Energy change from flipping one bit, in time proportional to its degree."""
-    raw = bits.bits if isinstance(bits, Solution) else bits
+    raw = qubo._bits(bits)
     if not (0 <= var_index < qubo.n):
         raise IndexError(f"variable index {var_index} out of range for {qubo.n} variables")
     indptr, indices, data = qubo.adjacency()

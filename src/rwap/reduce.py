@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conflicts import build_conflict_sets
-from .instance import Instance, Lightpath, Network, Request, SolveReport
+from .instance import Instance, Lightpath, Network, PROTECTION, Request, SolveReport, WORKING
 from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
 
 
@@ -44,23 +44,18 @@ class MssGraph:
             seen.add((u, v))
 
 
-WORKING_KIND = "w"
-PROTECTION_KIND = "p"
-_KIND_RANK = {WORKING_KIND: 0, PROTECTION_KIND: 1}
-
-
 class _Builder:
     def __init__(self, requests: int):
         self.next_node = 0
         self.next_link = 0
         self.links: dict[int, tuple[int, int]] = {}
-        self.paths: dict[tuple[int, str], list[int]] = {}
+        self.paths: dict[tuple[int, int], list[int]] = {}
         self.endpoints: list[tuple[int, int]] = []
         for r in range(requests):
             s, t, u1, v1 = (self.new_node() for _ in range(4))
             self.endpoints.append((s, t))
-            self.paths[(r, WORKING_KIND)] = [self.add_link(s, u1), self.add_link(u1, t)]
-            self.paths[(r, PROTECTION_KIND)] = [self.add_link(s, v1), self.add_link(v1, t)]
+            self.paths[(r, WORKING)] = [self.add_link(s, u1), self.add_link(u1, t)]
+            self.paths[(r, PROTECTION)] = [self.add_link(s, v1), self.add_link(v1, t)]
 
     def new_node(self) -> int:
         self.next_node += 1
@@ -71,7 +66,7 @@ class _Builder:
         self.next_link += 1
         return self.next_link - 1
 
-    def rewire(self, host: tuple[int, str], other: tuple[int, str]) -> int:
+    def rewire(self, host: tuple[int, int], other: tuple[int, int]) -> int:
         """Extend the host by one fresh link and route the other through it;
         returns the shared link id."""
         host_path = self.paths[host]
@@ -92,18 +87,18 @@ class _Builder:
 def mss_to_rwap(graph: MssGraph) -> Instance:
     """Reduce a stable-set instance to a request-granting instance."""
     builder = _Builder(graph.node_count)
-    shared_by_pair: dict[tuple[tuple[int, str], tuple[int, str]], int] = {}
+    shared_by_pair: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
     # canonical tuple order: edges sorted, then both working/protection
     # orientations, the working pair, the protection pair
     for (a, b) in sorted(graph.edges):
         for pair in (
-            ((a, WORKING_KIND), (b, PROTECTION_KIND)),
-            ((b, WORKING_KIND), (a, PROTECTION_KIND)),
-            ((a, WORKING_KIND), (b, WORKING_KIND)),
-            ((a, PROTECTION_KIND), (b, PROTECTION_KIND)),
+            ((a, WORKING), (b, PROTECTION)),
+            ((b, WORKING), (a, PROTECTION)),
+            ((a, WORKING), (b, WORKING)),
+            ((a, PROTECTION), (b, PROTECTION)),
         ):
             # host rule: lexicographically smaller (request, kind) end
-            host, other = sorted(pair, key=lambda lp: (lp[0], _KIND_RANK[lp[1]]))
+            host, other = sorted(pair)
             shared_by_pair[pair] = builder.rewire(host, other)
 
     # compact link ids in creation order
@@ -115,8 +110,8 @@ def mss_to_rwap(graph: MssGraph) -> Instance:
     requests = []
     for r in range(graph.node_count):
         s, t = builder.endpoints[r]
-        working = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, WORKING_KIND)]), wavelength=0)
-        protection = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, PROTECTION_KIND)]), wavelength=0)
+        working = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, WORKING)]), wavelength=0)
+        protection = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, PROTECTION)]), wavelength=0)
         requests.append(Request(id=r, source=s, destination=t, working=(working,), protection=(protection,)))
     instance = Instance(network=net, wavelength_count=1, requests=tuple(requests))
 
@@ -128,8 +123,8 @@ def mss_to_rwap(graph: MssGraph) -> Instance:
         if pa & pb != {remap[shared]}:
             raise AssertionError("reduction produced a malformed conflict pair")
     for r in range(graph.node_count):
-        w = set(builder.paths[(r, WORKING_KIND)])
-        p = set(builder.paths[(r, PROTECTION_KIND)])
+        w = set(builder.paths[(r, WORKING)])
+        p = set(builder.paths[(r, PROTECTION)])
         if w & p:
             raise AssertionError("reduction broke a request's link-disjointness")
     return instance

@@ -8,7 +8,7 @@ import pytest
 from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
 from rwap.conflicts import build_conflict_sets, build_strong_groups
-from rwap.instance import load_instance, save_instance
+from rwap.instance import Instance, InstanceError, Lightpath, Network, Request, load_instance, save_instance
 from rwap.ip import build_ip, lp_text
 from rwap.qubo import build_qubo, qubo_text
 from rwap.weights import beta_base, tight_example
@@ -57,6 +57,15 @@ def test_gen_from_topology_file(tmp_path, inst_path):
     assert rc == 0
     regen = load_instance(str(out))
     assert regen.network == figure1_instance().network
+
+
+@pytest.mark.parametrize("doc", [{"nodes": 3}, {"links": [[0, 1]]}, [1, 2]])
+def test_gen_rejects_a_malformed_topology_file(tmp_path, doc):
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps(doc))
+    argv = ["gen", "--topology", str(topology), "--wavelengths", "1", "--requests", "1", "--paths", "1"]
+    with pytest.raises(InstanceError, match="malformed network document"):
+        main(argv + ["-o", str(tmp_path / "out.json")])
 
 
 def test_conflicts_command(inst_path, capsys):
@@ -143,6 +152,30 @@ def test_solution_json_keeps_zero_and_false_fields(tmp_path, capsys, method, ext
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert {key: payload.get(key) for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "method,foreign",
+    [
+        ("rs", ["--iterations", "-5", "--replicas", "0", "--node-limit", "-1"]),
+        ("da", ["--iterations", "10", "--budget", "0", "--node-limit", "-1"]),
+        ("exact", ["--iterations", "-5", "--budget", "0"]),
+        ("bnb", ["--iterations", "-5", "--budget", "0", "--mode", "single"]),
+    ],
+)
+def test_solve_reads_only_its_own_method_options(inst_path, capsys, method, foreign):
+    assert main(["solve", inst_path, "--method", method, *foreign]) == 0
+    assert json.loads(capsys.readouterr().out)["f_beta"] == 2
+
+
+def test_solve_json_shows_mixed_wavelength_grants(tmp_path, capsys):
+    # the working path exists only on wavelength 0, the protection path only on 1
+    net = Network(node_count=2, links=((0, 1), (0, 1)))
+    req = Request(id=0, source=0, destination=1, working=(Lightpath((0,), 0),), protection=(Lightpath((1,), 1),))
+    path, out = tmp_path / "mixed.json", tmp_path / "solution.json"
+    save_instance(Instance(network=net, wavelength_count=2, requests=(req,)), str(path))
+    assert main(["solve", str(path), "--method", "rs", "--budget", "1", "-o", str(out)]) == 0
+    assert '"mixed_wavelength_grants": 1' in out.read_text()
 
 
 def test_solve_trace_written(inst_path, tmp_path):
@@ -250,6 +283,28 @@ def test_bench_empty_instance_list(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("instance,method,seed")
     assert len(out.splitlines()) == 2  # header comment + column row only
+
+
+@pytest.mark.parametrize("method", ["da", "rs", "exact", "bnb"])
+def test_bench_row_matches_solve(tmp_path, capsys, method):
+    path = str(tmp_path / "generated.json")
+    gen = ["gen", "--topology", "synth:8,1.6", "--wavelengths", "2", "--requests", "3", "--paths", "1"]
+    assert main(gen + ["--seed", "4", "-o", path]) == 0
+    options = ["--iterations", "300", "--budget", "3", "--node-limit", "20"]
+    capsys.readouterr()
+    assert main(["solve", path, "--method", method, "--seed", "2", *options]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert main(["bench", path, "--methods", method, "--seeds", "2", *options]) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert row["error"] == "" and solved["f_beta"] > 0
+    expected = [str(int(solved[k])) for k in ("f_beta", "f_alpha", "objective", "feasible", "repaired")]
+    assert [row[k] for k in ("granted", "links", "objective", "feasible", "repaired")] == expected
+
+
+def test_bench_records_an_unknown_method(inst_path, capsys):
+    assert main(["bench", inst_path, "--methods", "nope"]) == 1
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert row["error"] == "ValueError: unknown method 'nope'"
 
 
 def test_bench_records_row_errors_and_continues(tmp_path, capsys):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwap.conflicts import build_conflict_sets
-from rwap.instance import Instance, Network, f_alpha, f_beta, verify_feasible
+from rwap.instance import DimensionError, Instance, Network, f_alpha, f_beta, verify_feasible
 from rwap.oracle import brute_force_ip, brute_force_qubo
-from rwap.qubo import build_qubo, flip_delta, penalty, rho_base, rho_tight
+from rwap.qubo import QuboModel, build_qubo, flip_delta, penalty, rho_base, rho_tight
 from rwap.weights import beta_base, tight_example
 
 from helpers import random_bits, raw_violation_count, small_instance
@@ -93,6 +93,14 @@ def test_flip_delta_examples():
     assert flip_delta(q, (1, 0), 1) == -1 - 3 == -4
     with pytest.raises(IndexError):
         flip_delta(q, (1, 0), 2)
+
+
+@pytest.mark.parametrize("bits", [(1, 0), (1, 1, 0, 1, 1)])
+def test_flip_delta_rejects_a_bit_vector_of_the_wrong_length(bits):
+    q = QuboModel(n=3, linear=(1, 2, 3), quadratic={(0, 1): 5}, constant=0, rho=1, alpha=1, beta=1)
+    for evaluate in (q.energy, lambda b: flip_delta(q, b, 0)):
+        with pytest.raises(DimensionError, match="model has 3 variables"):
+            evaluate(bits)
 
 
 @settings(max_examples=60, deadline=None)
