@@ -91,7 +91,6 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     t_max = max(t_max, config.t_min)
     increment = max(qubo.rho / 100.0, 1.0)
 
-    lin = np.array(qubo.linear, dtype=np.int64)
     indptr, indices, data = qubo.adjacency()
     # per variable: its neighbours with their couplings q and -q
     neighbours = np.split(indices, indptr[1:-1])
@@ -101,7 +100,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     state = np.zeros((reps, n), dtype=np.int8)
     # all-zero start: delta_i = linear_i; kept in float64 (exact for these
     # magnitudes) so the acceptance comparison avoids per-iteration upcasts
-    delta = np.repeat(lin[None, :], reps, axis=0).astype(np.float64)
+    delta = np.tile(np.array(qubo.linear, dtype=np.float64), (reps, 1))
     energy = np.full(reps, qubo.constant, dtype=np.int64)
     offset = np.zeros(reps)
 
@@ -183,9 +182,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                     energy[[k, k + 1]] = energy[[k + 1, k]]
 
         if __debug__ and (t + 1) % 1024 == 0:
-            full = qubo.constant + state.astype(np.int64) @ lin
-            full += [_pair_energy(bits, neighbours, couplings) for bits in state]
-            assert (full == energy).all(), "incremental energy bookkeeping diverged"
+            assert [qubo.energy(bits) for bits in state] == energy.tolist(), "incremental energy bookkeeping diverged"
 
     return AnnealResult(
         best_bits=tuple(int(b) for b in best_bits),
@@ -194,15 +191,6 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         accepted_flips=accepted,
         offset_activations=activations,
     )
-
-
-def _pair_energy(bits: np.ndarray, neighbours: list[np.ndarray], couplings: list[np.ndarray]) -> int:
-    """Sum of the pair terms whose two variables are both set in bits."""
-    on = bits.nonzero()[0].tolist()
-    if not on:
-        return 0
-    both = np.concatenate([couplings[i] for i in on])[bits[np.concatenate([neighbours[i] for i in on])] == 1]
-    return int(both.sum()) // 2  # each pair is met from both of its ends
 
 
 def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alpha: int, beta: int) -> bool:

@@ -368,9 +368,10 @@ def instance_to_dict(instance: Instance) -> dict:
 def network_from_dict(data: dict) -> Network:
     """The {nodes, links} part of an instance document."""
     try:
-        return Network(node_count=int(data["nodes"]), links=tuple((int(t), int(h)) for t, h in data["links"]))
-    except (KeyError, TypeError) as exc:
+        nodes, links = int(data["nodes"]), tuple((int(t), int(h)) for t, h in data["links"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"malformed network document: {exc}") from exc
+    return Network(node_count=nodes, links=links)
 
 
 def _lightpaths(docs: Iterable[dict]) -> tuple[Lightpath, ...]:
@@ -390,9 +391,10 @@ def instance_from_dict(data: dict) -> Instance:
             )
             for rid, rd in enumerate(data["requests"])
         )
-        return Instance(network=net, wavelength_count=int(data["wavelengths"]), requests=requests)
-    except (KeyError, TypeError) as exc:
+        wavelengths = int(data["wavelengths"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
+    return Instance(network=net, wavelength_count=wavelengths, requests=requests)
 
 
 def load_instance(path: str) -> Instance:
@@ -406,7 +408,10 @@ def write_atomic(destination: str, text: str) -> None:
     plain ``open`` gives a new file: 0o666 less the umask."""
     directory, name = os.path.split(os.path.abspath(destination))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, destination) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

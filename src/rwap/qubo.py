@@ -149,18 +149,24 @@ class QuboModel:
         """The stored (i, j, q) arrays, read-only, keys ascending."""
         return self.quadratic.i, self.quadratic.j, self.quadratic.q
 
-    def _bits(self, bits: Solution | Sequence[int]) -> Sequence[int]:
+    def _bits(self, bits: Solution | Sequence[int]) -> np.ndarray:
         raw = bits.bits if isinstance(bits, Solution) else bits
         if len(raw) != self.n:
             raise DimensionError(f"bit vector has {len(raw)} bits, model has {self.n} variables")
-        return raw
+        return np.asarray(raw, dtype=bool)
 
     def energy(self, bits: Solution | Sequence[int]) -> int:
-        raw = self._bits(bits)
-        qi, qj, qv = self.pair_arrays()
-        on = np.asarray(raw, dtype=bool)
-        total = self.constant + sum(c for c, b in zip(self.linear, raw) if b)
-        return total + int(qv[on[qi] & on[qj]].sum())
+        """Energy of a bit vector, read from the adjacency rows of its set bits."""
+        on = self._bits(bits)
+        ones = on.nonzero()[0]
+        indptr, indices, data = self.adjacency()
+        # CSR positions of the set bits' rows laid end to end: a row ending at hi there ends at sizes.cumsum() here
+        hi = indptr[ones + 1]
+        sizes = hi - indptr[ones]
+        at = np.repeat(hi - sizes.cumsum(), sizes)
+        at += np.arange(len(at))
+        pairs = int(data[at][on[indices[at]]].sum()) // 2  # each pair is met from both of its ends
+        return self.constant + sum(self.linear[i] for i in ones.tolist()) + pairs
 
 
 def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta: int, rho: int) -> QuboModel:
@@ -246,14 +252,13 @@ def penalty(instance: Instance, conflict_sets: ConflictSets, solution: Solution 
 
 def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var_index: int) -> int:
     """Energy change from flipping one bit, in time proportional to its degree."""
-    raw = qubo._bits(bits)
+    on = qubo._bits(bits)
     if not (0 <= var_index < qubo.n):
         raise IndexError(f"variable index {var_index} out of range for {qubo.n} variables")
     indptr, indices, data = qubo.adjacency()
-    lo, hi = indptr[var_index], indptr[var_index + 1]
-    cross = sum(q for k, q in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()) if raw[k])
-    partial = int(qubo.linear[var_index]) + cross
-    return partial if not raw[var_index] else -partial
+    row = slice(indptr[var_index], indptr[var_index + 1])
+    partial = int(qubo.linear[var_index]) + int(data[row][on[indices[row]]].sum())
+    return -partial if on[var_index] else partial
 
 
 def rho_tight(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta: int, cap: int = 20) -> int:

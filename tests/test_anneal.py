@@ -24,6 +24,15 @@ def test_finds_tight_example_optimum(seed):
     assert result.best_bits == (1, 1)
 
 
+def test_the_energy_check_reads_the_model_energy(monkeypatch):
+    # the check fires after every 1024 iterations and must recompute through QuboModel.energy
+    _, q = _tight_qubo()
+    true_energy = QuboModel.energy
+    monkeypatch.setattr(QuboModel, "energy", lambda self, bits: true_energy(self, bits) + 1)
+    with pytest.raises(AssertionError, match="incremental energy bookkeeping diverged"):
+        anneal(q, AnnealConfig(iterations=1024, seed=0))
+
+
 def test_zero_model_immediate():
     q = QuboModel(n=3, linear=(0, 0, 0), quadratic={}, constant=0, rho=1, alpha=1, beta=1)
     result = anneal(q, AnnealConfig(iterations=10, seed=0))

@@ -8,7 +8,10 @@ import pytest
 from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
 from rwap.conflicts import build_conflict_sets, build_strong_groups
-from rwap.instance import Instance, InstanceError, Lightpath, Network, Request, load_instance, save_instance
+from rwap.instance import (
+    Instance, InstanceError, Lightpath, Network, Request, instance_to_dict, load_instance, network_from_dict,
+    save_instance,
+)
 from rwap.ip import build_ip, lp_text
 from rwap.qubo import build_qubo, qubo_text
 from rwap.weights import beta_base, tight_example
@@ -66,6 +69,54 @@ def test_gen_rejects_a_malformed_topology_file(tmp_path, doc):
     argv = ["gen", "--topology", str(topology), "--wavelengths", "1", "--requests", "1", "--paths", "1"]
     with pytest.raises(InstanceError, match="malformed network document"):
         main(argv + ["-o", str(tmp_path / "out.json")])
+
+
+def _figure1_doc(change):
+    doc = instance_to_dict(figure1_instance())
+    change(doc)
+    return doc
+
+
+MALFORMED_VALUES = {
+    "link of three ends": ("network", {"nodes": 2, "links": [[0, 1, 2]]}),
+    "node count": ("network", {"nodes": "two", "links": [[0, 1]]}),
+    "infinite node count": ("network", {"nodes": float("inf"), "links": []}),
+    "wavelength count": ("instance", _figure1_doc(lambda doc: doc.update(wavelengths="x"))),
+    "lightpath wavelength": ("instance", _figure1_doc(lambda doc: doc["requests"][0]["working"][0].update(wavelength="z"))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_VALUES)
+def test_a_malformed_value_is_an_instance_error(tmp_path, case):
+    part, doc = MALFORMED_VALUES[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    gen = ["gen", "--topology", str(path), "--wavelengths", "1", "--requests", "1", "--paths", "1", "-o", str(out)]
+    malformed = f"^malformed {part} document: "
+    with pytest.raises(InstanceError, match=malformed):
+        load_instance(str(path))
+    if part == "network":
+        with pytest.raises(InstanceError, match=malformed):
+            network_from_dict(doc)
+        with pytest.raises(InstanceError, match=malformed):
+            main(gen)
+        assert not out.exists()
+    else:  # a topology file is read for its network part only
+        assert network_from_dict(doc) == figure1_instance().network
+        assert main(gen) == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": 2, "links": [[0, 5]]}, "^link 0 endpoint out of range$"),
+    (_figure1_doc(lambda doc: doc["requests"][0]["working"][0].update(wavelength=9)), "wavelength"),
+])
+def test_validation_errors_keep_their_own_message(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match=message) as info:
+        load_instance(str(path))
+    assert "malformed" not in str(info.value)
 
 
 def test_conflicts_command(inst_path, capsys):
@@ -398,6 +449,17 @@ def test_failed_write_leaves_the_previous_file(inst_path, tmp_path, monkeypatch,
         main(argv)
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+
+
+@pytest.mark.parametrize("command", ["gen", "reduce-mss", "solve", "bench", "export-lp", "export-qubo"])
+def test_a_write_into_a_missing_directory_names_the_destination(inst_path, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    argv = _output_commands(inst_path, tmp_path)[command] + ["-o", str(out)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(FileNotFoundError) as info:
+        main(argv)
+    assert info.value.filename == str(out) and ".tmp'" not in str(info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["gen", "reduce-mss", "solve", "bench", "export-lp", "export-qubo"])

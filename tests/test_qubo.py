@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwap.conflicts import build_conflict_sets
-from rwap.instance import DimensionError, Instance, Network, f_alpha, f_beta, verify_feasible
+from rwap.instance import DimensionError, Instance, Network, Solution, f_alpha, f_beta, verify_feasible
 from rwap.oracle import brute_force_ip, brute_force_qubo
 from rwap.qubo import QuboModel, build_qubo, flip_delta, penalty, rho_base, rho_tight
 from rwap.weights import beta_base, tight_example
@@ -61,6 +61,49 @@ def test_energy_identity_against_independent_counter(seed):
         bits = random_bits(rng, inst.n_vars)
         expected = alpha * f_alpha(inst, bits) - beta * f_beta(inst, bits) + rho * raw_violation_count(inst, bits)
         assert q.energy(bits) == expected
+
+
+HAND_MODELS = [
+    QuboModel(n=4, linear=(3, -2, 0, 5), quadratic={(0, 1): -7, (0, 3): -1, (1, 3): 4, (2, 3): -9},
+              constant=11, rho=1, alpha=1, beta=1),
+    QuboModel(n=3, linear=(1, -1, 2), quadratic={}, constant=-4, rho=1, alpha=1, beta=1),
+    QuboModel(n=0, linear=(), quadratic={}, constant=5, rho=1, alpha=1, beta=1),
+]
+
+
+@st.composite
+def drawn_models(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coefficient = st.integers(-50, 50)
+    return QuboModel(n=n, linear=tuple(draw(coefficient) for _ in range(n)),
+                     quadratic={key: draw(coefficient) for key in keys},
+                     constant=draw(coefficient), rho=1, alpha=1, beta=1)
+
+
+@st.composite
+def instance_models(draw):
+    inst = small_instance(draw(st.integers(0, 20)))
+    return build_qubo(inst, build_conflict_sets(inst), draw(st.integers(1, 5)), draw(st.integers(1, 20)),
+                      draw(st.integers(1, 30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_energy_matches_an_independent_sum(data):
+    q = data.draw(st.one_of(st.sampled_from(HAND_MODELS), drawn_models(), instance_models()))
+    pattern = data.draw(st.sampled_from(["zeros", "ones", "random"]))
+    random = data.draw(st.lists(st.integers(0, 1), min_size=q.n, max_size=q.n))
+    bits = {"zeros": [0] * q.n, "ones": [1] * q.n, "random": random}[pattern]
+    expected = (
+        q.constant
+        + sum(c * b for c, b in zip(q.linear, bits))
+        + sum(v * bits[i] * bits[j] for (i, j), v in dict(q.quadratic).items())
+    )
+    for given_bits in (Solution(bits=tuple(bits)), tuple(bits), np.array(bits, dtype=np.int8)):
+        energy = q.energy(given_bits)
+        assert type(energy) is int and energy == expected
 
 
 def test_penalty_breakdown_examples(figure1, figure1_conflicts):
