@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import Instance, Solution, SolveReport, make_report, objective_coefficients, request_counts
+from .instance import Instance, Solution, SolveReport, make_report, objective_coefficients, penalty_terms
 from .qubo import QuboModel, build_qubo
 
 
@@ -205,9 +205,9 @@ def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alp
     on = np.array(bits, dtype=bool)
     changed = False
     while True:
-        rows = conflict_sets.hits(on)
-        cw, cp = request_counts(instance, on)
-        involved = ((cw != cp) | (cw > 1))[instance.request_of]
+        _, eq2, eq3, hit = penalty_terms(instance, conflict_sets, on)
+        involved = (eq2 + eq3 > 0)[instance.request_of]
+        rows = hit.nonzero()[0]
         involved[conflict_sets.first[rows]] = True
         involved[conflict_sets.second[rows]] = True
         # every violated constraint holds a set bit

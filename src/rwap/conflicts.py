@@ -55,11 +55,6 @@ class ConflictSets:
         """Row counts of classes 1..4, the lengths of c1..c4."""
         return np.bincount(self.classes, minlength=5)[1:].tolist()
 
-    def hits(self, bits) -> np.ndarray:
-        """Rows whose two variables are both set in bits."""
-        on = np.asarray(bits, dtype=bool)
-        return (on[self.first] & on[self.second]).nonzero()[0]
-
     def conflict_tuples(self, rows: np.ndarray) -> list[tuple[int, ...]]:
         """The c1..c4 tuple of each row in rows."""
         inst = self.instance

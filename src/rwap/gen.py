@@ -29,11 +29,10 @@ class GenerationError(RuntimeError):
 
 
 def _adjacency(net: Network) -> list[list[tuple[int, int]]]:
+    """Per node, its outgoing (head, link id) pairs in link-id order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
     for lid, (tail, head) in enumerate(net.links):
         adj[tail].append((head, lid))
-    for rows in adj:
-        rows.sort()
     return adj
 
 
@@ -45,22 +44,21 @@ def _shortest(
     banned_links: set[int],
 ) -> tuple[int, ...] | None:
     """Shortest simple path as a link-id tuple; ties break to the
-    lexicographically smallest link sequence."""
+    lexicographically smallest link sequence.  A breadth-first search that
+    expands each node's links in id order reaches every node first along
+    that sequence, so it returns on the first discovery of the target."""
     if source == target or source in banned_nodes or target in banned_nodes:
         return None
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), source)]
-    done: set[int] = set()
-    while heap:
-        dist, path, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node == target:
-            return path
+    reached = {source: ()}  # node -> its path, copied once per node reached
+    frontier = [source]
+    for node in frontier:  # the loop also visits the nodes appended while it runs
         for head, lid in adj[node]:
-            if head in done or head in banned_nodes or lid in banned_links:
+            if head in reached or head in banned_nodes or lid in banned_links:
                 continue
-            heapq.heappush(heap, (dist + 1, path + (lid,), head))
+            reached[head] = path = reached[node] + (lid,)
+            if head == target:
+                return path
+            frontier.append(head)
     return None
 
 

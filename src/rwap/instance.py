@@ -258,26 +258,31 @@ class Verdict:
     violations: tuple[Violation, ...]
 
 
-def request_counts(instance: Instance, bits) -> tuple[np.ndarray, np.ndarray]:
-    """Selected working and protection lightpath counts per request, as two
-    int64 arrays; bits may be one bit vector or a stack of them (last axis)."""
+def penalty_terms(instance: Instance, conflict_sets, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The constraint terms of one bit vector, or of each row of a stack of
+    them (last axis): per request the selected working count cw and the two
+    request penalties, (cw - cp)**2 for eq 2 and cw * (cw - 1) for eq 3, as
+    int64; per conflict row whether both of its bits are set.  A vector is
+    feasible exactly when every term is zero."""
     bits = np.asarray(bits)
     at = np.zeros(bits.shape[:-1] + (instance.n_vars + 1,), dtype=np.int64)
     np.add.accumulate(bits, -1, np.int64, at[..., 1:])
     # a cumsum difference, not np.add.reduceat, which is wrong on empty blocks
     at = at.take(instance.bounds, -1)
     counts = at[..., 1:] - at[..., :-1]
-    return counts[..., 0::2], counts[..., 1::2]
+    cw, cp = counts[..., 0::2], counts[..., 1::2]
+    # gathering along the first axis keeps the one-vector gather as fast as bits[first]
+    hit = (bits.T[conflict_sets.first] & bits.T[conflict_sets.second]).T
+    return cw, (cw - cp) ** 2, cw * (cw - 1), hit
 
 
 def _violations(instance: Instance, conflict_sets, on: np.ndarray) -> tuple[list[Violation], np.ndarray]:
     """The violated constraints of a bool bit vector, and its working counts."""
-    cw, cp = request_counts(instance, on)
-    eq2, eq3 = cw != cp, cw > 1
+    cw, eq2, eq3, hit = penalty_terms(instance, conflict_sets, on)
     violations = []
-    for r in (eq2 | eq3).nonzero()[0].tolist():
+    for r in (eq2 + eq3).nonzero()[0].tolist():
         violations += [Violation(kind, (r,)) for kind, bad in (("eq2", eq2[r]), ("eq3", eq3[r])) if bad]
-    rows = conflict_sets.hits(on)
+    rows = hit.nonzero()[0]
     if rows.size:
         classes = conflict_sets.classes[rows].tolist()
         violations += [Violation(f"c{c}", t) for c, t in zip(classes, conflict_sets.conflict_tuples(rows))]
@@ -365,17 +370,24 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _int(value) -> int:
+    """An integer field of a document: a JSON integer, not a bool, float or string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def network_from_dict(data: dict) -> Network:
     """The {nodes, links} part of an instance document."""
     try:
-        nodes, links = int(data["nodes"]), tuple((int(t), int(h)) for t, h in data["links"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        nodes, links = _int(data["nodes"]), tuple((_int(t), _int(h)) for t, h in data["links"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed network document: {exc}") from exc
     return Network(node_count=nodes, links=links)
 
 
 def _lightpaths(docs: Iterable[dict]) -> tuple[Lightpath, ...]:
-    return tuple(Lightpath(links=tuple(int(e) for e in lp["links"]), wavelength=int(lp["wavelength"])) for lp in docs)
+    return tuple(Lightpath(links=tuple(map(_int, lp["links"])), wavelength=_int(lp["wavelength"])) for lp in docs)
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -384,15 +396,15 @@ def instance_from_dict(data: dict) -> Instance:
         requests = tuple(
             Request(
                 id=rid,
-                source=int(rd["source"]),
-                destination=int(rd["dest"]),
+                source=_int(rd["source"]),
+                destination=_int(rd["dest"]),
                 working=_lightpaths(rd["working"]),
                 protection=_lightpaths(rd["protection"]),
             )
             for rid, rd in enumerate(data["requests"])
         )
-        wavelengths = int(data["wavelengths"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        wavelengths = _int(data["wavelengths"])
+    except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
     return Instance(network=net, wavelength_count=wavelengths, requests=requests)
 

@@ -2,12 +2,13 @@
 
 These are the ground truth the stochastic solvers are measured against.
 ``_enumeration`` is the one loop over all bit vectors, in int8 chunks, and is
-restricted to small variable counts; the QUBO oracle, the feasible-vector
-oracles and ``qubo.rho_tight`` read it, and ``_penalty_totals`` scores a
-chunk's rows (zero exactly when feasible).  Branch-and-bound searches over
-per-request assignments with mutually-exclusive-group propagation and an
-optimistic objective bound, walking a stack of child generators, and remains
-exact whenever its node budget is not exhausted.
+restricted to small variable counts.  The QUBO oracle and ``qubo.rho_tight``
+read it, and so does ``_feasible``, the one pass over the feasible vectors
+that both IP oracles read; ``_penalty_totals`` scores a chunk's rows (zero
+exactly when feasible).  Branch-and-bound searches over per-request
+assignments with mutually-exclusive-group propagation and an optimistic
+objective bound, walking a stack of child generators, and remains exact
+whenever its node budget is not exhausted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .instance import (
     SolveReport,
     WORKING,
     make_report,
-    request_counts,
+    penalty_terms,
 )
 
 ENUMERATION_CAP = 24
@@ -44,14 +45,10 @@ def _enumeration(n: int):
 
 
 def _penalty_totals(instance: Instance, conflict_sets: ConflictSets, bits: np.ndarray) -> np.ndarray:
-    """Per row of a stack of bit vectors, the QUBO penalty over rho:
-    (cw - cp)^2 + cw(cw - 1) per request plus the conflict pairs hit.  It is
-    zero exactly when the row is feasible."""
-    cw, cp = request_counts(instance, bits)
-    totals = ((cw - cp) ** 2 + cw * (cw - 1)).sum(axis=1)
-    if conflict_sets.pair_count:
-        totals += (bits[:, conflict_sets.first] & bits[:, conflict_sets.second]).sum(axis=1)
-    return totals
+    """Per row of a stack of bit vectors, the sum of its ``penalty_terms``:
+    the QUBO penalty over rho, zero exactly when the row is feasible."""
+    _, eq2, eq3, hit = penalty_terms(instance, conflict_sets, bits)
+    return (eq2 + eq3).sum(axis=-1) + hit.sum(axis=-1)
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -59,26 +56,25 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationLimitError(f"{n} variables exceed the enumeration cap of {cap}")
 
 
-def _feasible_chunks(instance: Instance, conflict_sets: ConflictSets):
-    """Per chunk of the enumeration: its first row, the indices of its
-    feasible rows and their bits as int64.  Callers check the cap first."""
+def _feasible(instance: Instance, conflict_sets: ConflictSets, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row index, link usage and granted count of every feasible bit vector,
+    in row order, as three int64 arrays."""
+    _check_cap(instance.n_vars, cap)
+    working = instance.working.astype(np.int64)
+    parts = []
     for start, bits in _enumeration(instance.n_vars):
         idx = np.flatnonzero(_penalty_totals(instance, conflict_sets, bits) == 0)
-        yield start, idx, bits[idx].astype(np.int64)
+        sel = bits[idx].astype(np.int64)
+        parts.append((start + idx, sel @ instance.lengths, sel @ working))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def feasible_objectives(
     instance: Instance, conflict_sets: ConflictSets, cap: int = ENUMERATION_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Link usage and granted count of every feasible bit vector."""
-    _check_cap(instance.n_vars, cap)
-    working = instance.working.astype(np.int64)
-    fa_parts: list[np.ndarray] = []
-    fb_parts: list[np.ndarray] = []
-    for _, _, sel in _feasible_chunks(instance, conflict_sets):
-        fa_parts.append(sel @ instance.lengths)
-        fb_parts.append(sel @ working)
-    return np.concatenate(fa_parts), np.concatenate(fb_parts)
+    _, fa, fb = _feasible(instance, conflict_sets, cap)
+    return fa, fb
 
 
 def brute_force_ip(
@@ -93,24 +89,12 @@ def brute_force_ip(
     Ties break toward fewer links, then the lexicographically smallest bit
     string.
     """
-    n = instance.n_vars
-    _check_cap(n, cap)
-    working = instance.working.astype(np.int64)
-    best: tuple[int, int, int] | None = None  # (objective, f_alpha, index)
-    for start, idx, sel in _feasible_chunks(instance, conflict_sets):
-        if not len(idx):
-            continue
-        fa = sel @ instance.lengths
-        obj = alpha * fa - beta * (sel @ working)
-        order = np.lexsort((idx, fa, obj))[0]
-        cand = (int(obj[order]), int(fa[order]), start + int(idx[order]))
-        if best is None or cand < best:
-            best, row = cand, sel[order]
-    assert best is not None  # the all-zero vector is always feasible
-    solution = Solution.from_array(row)
-    return make_report(
-        instance, conflict_sets, solution, alpha, beta, method="exact", optimal=True, bound=best[0]
-    )
+    idx, fa, fb = _feasible(instance, conflict_sets, cap)  # never empty: the all-zero vector is feasible
+    obj = alpha * fa - beta * fb
+    best = np.lexsort((idx, fa, obj))[0]
+    solution = Solution.from_array((int(idx[best]) >> np.arange(instance.n_vars - 1, -1, -1)) & 1)
+    bound = int(obj[best])
+    return make_report(instance, conflict_sets, solution, alpha, beta, method="exact", optimal=True, bound=bound)
 
 
 def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:

@@ -28,7 +28,7 @@ from .instance import (
     Solution,
     _selected,
     objective_coefficients,
-    request_counts,
+    penalty_terms,
     write_atomic,
 )
 from .oracle import _enumeration, _penalty_totals
@@ -243,11 +243,10 @@ class PenaltyBreakdown:
 
 
 def penalty(instance: Instance, conflict_sets: ConflictSets, solution: Solution | Sequence[int]) -> PenaltyBreakdown:
-    """Evaluate the penalty terms directly from their definitions."""
-    on = _selected(instance, solution)
-    cw, cp = request_counts(instance, on)
-    per_class = np.bincount(conflict_sets.classes[conflict_sets.hits(on)], minlength=5).tolist()
-    return PenaltyBreakdown(int(((cw - cp) ** 2).sum()), int((cw * (cw - 1)).sum()), *per_class[1:])
+    """The sums of ``penalty_terms``: each request term, and the conflict rows hit per class."""
+    _, eq2, eq3, hit = penalty_terms(instance, conflict_sets, _selected(instance, solution))
+    per_class = np.bincount(conflict_sets.classes[hit], minlength=5).tolist()
+    return PenaltyBreakdown(int(eq2.sum()), int(eq3.sum()), *per_class[1:])
 
 
 def flip_delta(qubo: QuboModel, bits: Solution | Sequence[int] | np.ndarray, var_index: int) -> int:

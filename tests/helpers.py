@@ -7,6 +7,7 @@ reuse them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
@@ -76,6 +77,32 @@ def enumerate_feasible_raw(instance: Instance):
         bits = tuple((k >> (n - 1 - i)) & 1 for i in range(n))
         if raw_feasible(instance, bits):
             yield bits
+
+
+def reference_shortest(
+    net: Network, source: int, target: int, banned_nodes: set[int], banned_links: set[int]
+) -> tuple[int, ...] | None:
+    """Shortest simple path as a link-id tuple, ties to the lexicographically
+    smallest link sequence: a Dijkstra heap keyed on (length, path)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
+    for lid, (tail, head) in enumerate(net.links):
+        adj[tail].append((head, lid))
+    if source == target or source in banned_nodes or target in banned_nodes:
+        return None
+    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), source)]
+    done: set[int] = set()
+    while heap:
+        dist, path, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node == target:
+            return path
+        for head, lid in sorted(adj[node]):
+            if head in done or head in banned_nodes or lid in banned_links:
+                continue
+            heapq.heappush(heap, (dist + 1, path + (lid,), head))
+    return None
 
 
 def brute_force_stable_set(node_count: int, edges) -> int:

@@ -83,6 +83,13 @@ MALFORMED_VALUES = {
     "infinite node count": ("network", {"nodes": float("inf"), "links": []}),
     "wavelength count": ("instance", _figure1_doc(lambda doc: doc.update(wavelengths="x"))),
     "lightpath wavelength": ("instance", _figure1_doc(lambda doc: doc["requests"][0]["working"][0].update(wavelength="z"))),
+    "fractional node count": ("network", {"nodes": 2.9, "links": []}),
+    "link as a string": ("network", {"nodes": 2, "links": ["01"]}),
+    "boolean node count": ("network", {"nodes": True, "links": []}),
+    "request source as a string": ("instance", _figure1_doc(lambda doc: doc["requests"][0].update(source="0"))),
+    "fractional lightpath wavelength": (
+        "instance", _figure1_doc(lambda doc: doc["requests"][0]["working"][0].update(wavelength=0.5))
+    ),
 }
 
 
