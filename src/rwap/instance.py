@@ -414,10 +414,10 @@ def load_instance(path: str) -> Instance:
         return instance_from_dict(json.load(fh))
 
 
-def write_atomic(destination: str, text: str) -> None:
-    """Write text to destination through a temp file and a rename, so a
-    failed write leaves no partial file behind.  The file gets the mode a
-    plain ``open`` gives a new file: 0o666 less the umask."""
+def write_atomic(destination: str, text: str | bytes) -> None:
+    """Write text, or bytes as they are, to destination through a temp file
+    and a rename, so a failed write leaves no partial file behind.  The file
+    gets the mode a plain ``open`` gives a new file: 0o666 less the umask."""
     directory, name = os.path.split(os.path.abspath(destination))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -425,7 +425,7 @@ def write_atomic(destination: str, text: str) -> None:
     except OSError as exc:  # name the file the caller asked for, not the temp file
         raise type(exc)(exc.errno, exc.strerror, destination) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") if isinstance(text, bytes) else os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, destination)
     except BaseException:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bytetext import GATHER_MIN_TERMS, byte_table, codes, squeeze
 from .conflicts import ConflictSets
 from .instance import (
     DimensionError,
@@ -279,15 +280,52 @@ def rho_tight(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta:
     return int(((f[~infeasible].max() - f[infeasible]) // g[infeasible]).max(initial=0)) + 1
 
 
-# plain-text sparse export: header "n constant", then "i j coeff" rows
-def qubo_text(model: QuboModel) -> str:
+# plain-text sparse export: header "n constant", then one "i j coeff" line
+# per nonzero diagonal entry (i == j) and per pair term, field by field
+_HEADER, _INDEX, _COEFF = "{} {}\n", "%d ", "%d\n"
+
+
+def _qubo_by_strings(model: QuboModel) -> str:
+    """The QUBO text, formatted with one format string."""
     diagonal = [i for i, c in enumerate(model.linear) if c]
     qi, qj, qv = model.pair_arrays()
     columns = (diagonal + qi.tolist(), diagonal + qj.tolist(), [model.linear[i] for i in diagonal] + qv.tolist())
     flat = [0] * (3 * len(columns[0]))
     flat[0::3], flat[1::3], flat[2::3] = columns
-    return f"{model.n} {model.constant}\n" + "%d %d %d\n" * len(columns[0]) % tuple(flat)
+    return _HEADER.format(model.n, model.constant) + (2 * _INDEX + _COEFF) * len(columns[0]) % tuple(flat)
+
+
+def _qubo_by_gather(model: QuboModel) -> bytes:
+    """The QUBO text gathered from a table of index fields, one row per
+    variable, and a table of coefficient fields, one row per distinct value."""
+    linear = np.array(model.linear, dtype=np.int64)
+    diagonal = linear.nonzero()[0]
+    qi, qj, qv = model.pair_arrays()
+    values, value_of = codes(np.concatenate((linear[diagonal], qv)))
+    indices = byte_table([_INDEX % k for k in range(model.n)], 8)
+    coefficients = byte_table([_COEFF % q for q in values.tolist()], 8)
+    lines = np.hstack((
+        np.take(indices, np.concatenate((diagonal, qi)), axis=0),
+        np.take(indices, np.concatenate((diagonal, qj)), axis=0),
+        np.take(coefficients, value_of, axis=0),
+    ))
+    return _HEADER.format(model.n, model.constant).encode() + squeeze(lines)
+
+
+def _gathered(model: QuboModel) -> bool:
+    """Whether the QUBO text is gathered as bytes: from ``GATHER_MIN_TERMS``
+    variables plus pair entries on; a smaller model is formatted as strings."""
+    return len(model.linear) + len(model.quadratic) >= GATHER_MIN_TERMS
+
+
+def qubo_text(model: QuboModel) -> str:
+    """The sparse QUBO text.  A model with ``GATHER_MIN_TERMS`` (300)
+    variables plus pair entries or more is gathered as bytes from a table of
+    index fields and a table of coefficient fields (``rwap.bytetext``); a
+    smaller one is formatted with one format string, which is faster below
+    the measured break-even of about 250-300 entries."""
+    return _qubo_by_gather(model).decode() if _gathered(model) else _qubo_by_strings(model)
 
 
 def export_qubo(model: QuboModel, destination: str) -> None:
-    write_atomic(destination, qubo_text(model))
+    write_atomic(destination, _qubo_by_gather(model) if _gathered(model) else _qubo_by_strings(model))
