@@ -1,7 +1,7 @@
 """Byte assembly of the text exports.
 
 A large export is laid out from small per-field byte tables: a table row is
-one field's ASCII text, zero-padded to the table's width.  numpy gathers the
+one field's UTF-8 text, zero-padded to the table's width.  numpy gathers the
 table rows in output order, and one pass drops the zero padding, so no
 Python string is made per output line.  Rows 8 or 16 bytes wide move as one
 machine word or two in the gather, several times faster than other widths.
@@ -24,9 +24,9 @@ GATHER_MIN_TERMS = 300  # LP matrix entries, or QUBO variables plus pair entries
 
 
 def byte_table(strings: Iterable[str], align: int = 1) -> np.ndarray:
-    """ASCII strings as the rows of a zero-padded uint8 table, its width a
-    multiple of align."""
-    encoded = [s.encode("ascii") for s in strings]
+    """Strings as the rows of a zero-padded uint8 table of their UTF-8
+    bytes, its width a multiple of align."""
+    encoded = [s.encode() for s in strings]
     width = -(-max([1, *map(len, encoded)]) // align) * align
     return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
 

@@ -4,16 +4,15 @@ The base model carries one row per conflict tuple; the strong model replaces
 those rows with at-most-one group constraints.  Objective coefficients are
 folded per variable before export (alpha * length - beta for working
 variables, alpha * length for protection), which keeps files minimal and
-loses nothing.  Rows are stored as columns: large models as numpy arrays,
-whose LP text is assembled as bytes, and small ones as Python lists, which
-are formatted as strings.
+loses nothing.  Named rows are stored as flat columns of Python lists, and
+the base model's conflict-pair rows as the conflict sets' arrays.  A large
+model's LP text is assembled as bytes, a small one's formatted as strings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -22,7 +21,7 @@ from .bytetext import GATHER_MIN_TERMS, byte_table, codes, decimal_table, squeez
 from .conflicts import ConflictSets, StrongGroups, check_built_for
 from .instance import Instance, WORKING, objective_coefficients, write_atomic
 
-RELATIONS = ("=", "<=")  # the relation of a row, by its LinearModel.relation code
+PAIR_COEFF, PAIR_RELATION, PAIR_RHS = 1, "<=", 1  # every pair row reads "first + second <= 1"
 
 
 @dataclass(frozen=True)
@@ -40,109 +39,83 @@ class ConstraintView(Sequence):
     model: LinearModel
 
     def __len__(self) -> int:
-        return len(self.model.columns[-1])
+        return len(self.model.names) + len(self.model.first)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
         m = self.model
         k = range(len(self))[k]  # negative indices; IndexError past the end
-        lo, hi = m.indptr[k : k + 2].tolist()
-        terms = tuple(zip(m.index[lo:hi].tolist(), m.coeff[lo:hi].tolist()))
-        return Constraint(m.row_name(k), terms, RELATIONS[m.relation[k]], int(m.rhs[k]))
-
-    def __iter__(self):
-        m = self.model
-        _, ptr, index, coeff, relation, rhs = _listed(m.columns)
-        for name, lo, hi, rel, b in zip(m.row_names(), ptr, ptr[1:], relation, rhs):
-            yield Constraint(name, tuple(zip(index[lo:hi], coeff[lo:hi])), RELATIONS[rel], b)
+        j = k - len(m.names)
+        if j < 0:
+            lo, hi = m.indptr[k : k + 2]
+            return Constraint(m.names[k], tuple(zip(m.index[lo:hi], m.coeff[lo:hi])), m.relation[k], m.rhs[k])
+        terms = ((int(m.first[j]), PAIR_COEFF), (int(m.second[j]), PAIR_COEFF))
+        return Constraint(m.pair_names(j, j + 1)[0], terms, PAIR_RELATION, PAIR_RHS)
 
 
-def _listed(columns: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
-def _column(k: int, dtype: type) -> cached_property:
-    """A read-only array attribute made from ``columns[k]`` on first read."""
-
-    def read(self: LinearModel) -> np.ndarray:
-        column = np.asarray(self.columns[k], dtype).view()
-        column.setflags(write=False)
-        return column
-
-    return cached_property(read)
+_NO_PAIRS = _read_only(np.zeros(0, np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """A minimization model with binary variables and integer coefficients.
 
-    Rows are read-only int64 array columns: row k has the terms
-    ``(index[t], coeff[t])`` for t in ``range(indptr[k], indptr[k + 1])``,
-    the relation ``RELATIONS[relation[k]]`` (int8 codes) and ``rhs[k]``.
-    The first ``len(names)`` rows are named.  Each later row j is a conflict
-    pair of class ``classes[j]`` (int8, ascending), named ``c{class}_{t}``
-    for its place t among the pair rows of its class; the name is made only
-    when it is read.  ``constraints`` is a read-only sequence view of the
+    The named rows are flat columns of Python lists: row k is ``names[k]``,
+    with the terms ``(index[t], coeff[t])`` for t in
+    ``range(indptr[k], indptr[k + 1])``, ``relation[k]`` and ``rhs[k]``.
+    A base model's conflict-pair rows follow them, as the read-only int64
+    arrays ``first`` and ``second``: pair row j reads
+    ``first[j] + second[j] <= 1``.  The pair rows come in runs, one
+    ``(class, rows)`` entry of ``pair_runs`` each, and row t of a run of
+    class c is named ``c{c}_{t}``; no pair row's name or terms are stored
+    as Python objects.  ``constraints`` is a read-only sequence view of all
     rows that builds a ``Constraint`` only for a row it is asked for.
-
-    ``columns`` holds (classes, indptr, index, coeff, relation, rhs) as the
-    builder gave them, int sequences or arrays, and each array attribute is
-    made from it on first read.  ``build_ip`` gives a model below
-    ``GATHER_MIN_TERMS`` terms Python lists, which the string formatting
-    path reads as they are: with arrays made eagerly, the desk benchmark's
-    ``export_s`` rose by 29-50% in three pairs of runs.
     """
 
     kind: str  # "base" or "strong"
     objective: tuple[int, ...]  # folded coefficient per variable
     var_names: tuple[str, ...]
-    names: tuple[str, ...]  # match_r*, single_r*, then excl_* and slot_* (strong)
-    columns: tuple[Sequence[int], ...]
-    classes = _column(0, np.int8)
-    indptr = _column(1, np.int64)
-    index = _column(2, np.int64)
-    coeff = _column(3, np.int64)
-    relation = _column(4, np.int8)
-    rhs = _column(5, np.int64)
+    names: list[str]  # match_r*, single_r*, then excl_* and slot_* (strong)
+    indptr: list[int]
+    index: list[int]
+    coeff: list[int]
+    relation: list[str]  # "=" or "<="
+    rhs: list[int]
+    pair_runs: tuple[tuple[int, int], ...]  # (class, rows) of each run of pair rows
+    first: np.ndarray
+    second: np.ndarray
     constraints = property(ConstraintView)
 
-    def __eq__(self, other) -> bool:
+    def __post_init__(self) -> None:
+        if not sum(rows for _, rows in self.pair_runs) == len(self.first) == len(self.second):
+            raise ValueError("pair runs, first and second must count the same pair rows")
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, the pair arrays by value."""
         if not isinstance(other, LinearModel):
             return NotImplemented
-        fixed = ("kind", "objective", "var_names", "names")
-        same = all(getattr(self, name) == getattr(other, name) for name in fixed)
-        return same and all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+        pairs = zip(vars(self).values(), vars(other).values())
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
-    def pair_counters(self) -> np.ndarray:
-        """Each pair row's place among the pair rows of its class."""
-        return np.arange(len(self.classes)) - np.searchsorted(self.classes, self.classes)
-
-    def row_name(self, k: int) -> str:
-        j = k - len(self.names)
-        if j < 0:
-            return self.names[k]
-        cls = int(self.classes[j])
-        return _PAIR.format(cls, j - int(np.searchsorted(self.classes, cls)))
-
-    def row_names(self) -> list[str]:
-        (classes,) = _listed(self.columns[:1])
-        names = list(self.names)
-        for cls in dict.fromkeys(classes):  # classes ascend, so each class's counters run 0, 1, ...
-            before, after = _PAIR.format(cls, "#").split("#")
-            names += [f"{before}{t}{after}" for t in range(classes.count(cls))]
+    def pair_names(self, start: int = 0, stop: int | None = None) -> list[str]:
+        """The names of the pair rows from start to stop (all by default)."""
+        stop = len(self.first) if stop is None else stop
+        names, at = [], 0
+        for cls, rows in self.pair_runs:
+            names += map(_PAIR.format(cls, "{}").format, range(max(start - at, 0), min(stop - at, rows)))
+            at += rows
         return names
 
 
 def variable_names(instance: Instance) -> tuple[str, ...]:
-    return _block_variable_names(instance.bounds.tobytes())
-
-
-# Cached on the block starts, so that the base and strong models of one
-# instance share one tuple of names, and one LP frame (below).
-@lru_cache(maxsize=16)
-def _block_variable_names(bounds: bytes) -> tuple[str, ...]:
-    blocks = np.frombuffer(bounds, np.int64).tolist()
+    blocks = instance.bounds.tolist()
     return tuple(
         f"x_r{block // 2}_w{local}" if block % 2 == WORKING else f"y_r{block // 2}_p{local}"
         for block, (start, stop) in enumerate(zip(blocks, blocks[1:]))
@@ -166,9 +139,9 @@ def build_ip(
     if not isinstance(structure, expected):
         raise TypeError(f"{kind} model requires {expected.__name__}")
     check_built_for(instance, structure)
-    blocks, n_req = instance.bounds.tolist(), len(instance.requests)
+    blocks = instance.bounds.tolist()
     spans = list(zip(blocks[0::2], blocks[1::2], blocks[2::2]))  # working start, protection start, end
-    names = [f"match_r{r}" for r in range(n_req)] + [f"single_r{r}" for r in range(n_req)]
+    names = [f"match_r{r}" for r in range(len(spans))] + [f"single_r{r}" for r in range(len(spans))]
     members = [range(w, end) for w, _, end in spans] + [range(w, p) for w, p, _ in spans]
     if kind == "strong":
         for (r, w), plist in sorted(structure.pbar.items()):
@@ -177,117 +150,112 @@ def build_ip(
         for (e, lam), group in structure.emitted_groups():
             names.append(f"slot_e{e}_l{lam}")
             members.append(group)
-    # the named rows' terms; each pair row after them has the two terms
-    # np.column_stack((first, second)).ravel()
-    named, ptr = list(chain.from_iterable(members)), list(accumulate(map(len, members), initial=0))
-    pairs = structure.pair_count if kind == "base" else 0
-    rows, terms, n = len(names) + pairs, len(named) + 2 * pairs, instance.n_vars
-    # the match rows come first and tile the variables, +1 on each working
-    # and -1 on each protection variable, and read "= 0"; every other row
-    # has coefficients 1 and reads "<= 1"
-    signs = [1 if on else -1 for on in instance.working.tolist()]
-    if terms < GATHER_MIN_TERMS:  # lists, for the string formatting path
-        classes = structure.classes.tolist() if pairs else []
-        index = named + [i for pair in zip(structure.first.tolist(), structure.second.tolist()) for i in pair] if pairs else named
-        indptr = ptr + list(range(len(named) + 2, terms + 1, 2))
-        coeff = signs + [1] * (terms - n)
-        relation = [RELATIONS.index("=")] * n_req + [RELATIONS.index("<=")] * (rows - n_req)
-        rhs = [0] * n_req + [1] * (rows - n_req)
-    else:
-        classes = structure.classes if pairs else np.zeros(0, np.int8)
-        index, indptr = np.empty(terms, np.int64), np.empty(rows + 1, np.int64)
-        index[: len(named)], indptr[: len(ptr)] = named, ptr
-        if pairs:
-            index[len(named) :: 2], index[len(named) + 1 :: 2] = structure.first, structure.second
-            indptr[len(ptr) :] = np.arange(len(named) + 2, terms + 1, 2)
-        coeff, rhs = np.ones(terms, np.int64), np.ones(rows, np.int64)
-        relation = np.full(rows, RELATIONS.index("<="), np.int8)
-        coeff[:n], relation[:n_req], rhs[:n_req] = signs, RELATIONS.index("="), 0
+    index = list(chain.from_iterable(members))
+    indptr = list(accumulate(map(len, members), initial=0))
+    # the match rows come first and tile the variables: -1 on each protection
+    coeff = [1 if on else -1 for on in instance.working.tolist()] + [1] * (len(index) - instance.n_vars)
+    n_req, fixed = len(spans), len(names) - len(spans)
     objective = tuple(objective_coefficients(instance, alpha, beta).tolist())
-    columns = (classes, indptr, index, coeff, relation, rhs)
-    return LinearModel(kind, objective, variable_names(instance), tuple(names), columns)
+    relation, rhs = ["="] * n_req + ["<="] * fixed, [0] * n_req + [1] * fixed
+    runs, first, second = (), _NO_PAIRS, _NO_PAIRS
+    if kind == "base":  # one run of pair rows per class, as the conflict sets' rows run by class
+        runs = tuple((cls, rows) for cls, rows in enumerate(structure.class_counts, 1) if rows)
+        first, second = _read_only(structure.first), _read_only(structure.second)
+    var_names = variable_names(instance)
+    return LinearModel(kind, objective, var_names, names, indptr, index, coeff, relation, rhs, runs, first, second)
 
 
 # The LP text field by field; both formatting paths read these.
 _NAME_START, _NAME_END = " ", ": "  # around a row's name
 _HEAD = _NAME_START + "{}" + _NAME_END
-_PAIR = "c{}_{}"  # a pair row's name, from its class and its counter
+_PAIR = "c{}_{}"  # a pair row's name, from its class and its place in its run
 _TAIL = " {} {}\n"  # a row's relation and rhs
 
 
-# The two term forms are cached: a desk-size model takes tens of microseconds
-# to format, and a Python call per term would show there.
-@lru_cache(maxsize=1024)
 def _lead(c: int) -> str:  # before the variable of a row's first nonzero term
     return f"- {-c} " if c < 0 else f"{c} "
 
 
-@lru_cache(maxsize=1024)
 def _follow(c: int) -> str:  # before the variable of each later nonzero term
     return f" - {-c} " if c < 0 else f" + {c} "
 
 
-@lru_cache(maxsize=16)
-def _lp_frame(names: tuple[str, ...], objective: tuple[int, ...]) -> tuple[str, str]:
+def _lp_frame(model: LinearModel) -> tuple[str, str]:
     """The text before the rows and the text after them."""
-    obj = "".join([_follow(c) + v for c, v in zip(objective, names) if c])
-    lead = next(filter(None, objective), 0)  # the first term takes the lead form
+    obj = "".join([_follow(c) + v for c, v in zip(model.objective, model.var_names) if c])
+    lead = next(filter(None, model.objective), 0)  # the first term takes the lead form
     opening = f"Minimize\n{_HEAD.format('obj')}{obj.replace(_follow(lead), _lead(lead), 1)}".rstrip()
-    return opening + "\nSubject To\n", "".join(["Binary\n", *[f" {v}\n" for v in names], "End\n"])
+    binaries = " " + "\n ".join(model.var_names) + "\n" if model.var_names else ""
+    return opening + "\nSubject To\n", "Binary\n" + binaries + "End\n"
 
 
 def _lp_by_strings(model: LinearModel) -> str:
     """The LP text, each (coefficient, variable) term formatted once in
     follow-on form, a zero term as nothing, and one string per row."""
-    names, (opening, closing) = model.var_names, _lp_frame(model.var_names, model.objective)
-    _, ptr, index, coeff, relation, rhs = _listed(model.columns)
-    follow = {c: _follow(c) for c in set(coeff)}
+    names, ptr, pair_key = model.var_names, model.indptr, (PAIR_RELATION, PAIR_RHS)
+    follow = {c: _follow(c) for c in {*model.coeff, PAIR_COEFF}}
     tables = {c: list(map(form.__add__, names)) if c else [""] * len(names) for c, form in follow.items()}
-    terms = [tables[c][i] for c, i in zip(coeff, index)]
-    keys = list(zip(relation, rhs))
-    tails = {key: _TAIL.format(RELATIONS[key[0]], key[1]) for key in set(keys)}
-    rows = "".join([
+    terms = [tables[c][i] for c, i in zip(model.coeff, model.index)]
+    tails = {key: _TAIL.format(*key) for key in {*zip(model.relation, model.rhs), pair_key}}
+    rows = [
         f"{_NAME_START}{name}{_NAME_END}{''.join(terms[lo:hi])}{tails[key]}"
-        for name, lo, hi, key in zip(model.row_names(), ptr, ptr[1:], keys)
-    ])
+        for name, lo, hi, key in zip(model.names, ptr, ptr[1:], zip(model.relation, model.rhs))
+    ]
+    if model.pair_runs:
+        one, tail = tables[PAIR_COEFF], tails[pair_key]
+        pairs = zip(model.pair_names(), model.first.tolist(), model.second.tolist())
+        rows += [f"{_NAME_START}{name}{_NAME_END}{one[i]}{one[j]}{tail}" for name, i, j in pairs]
+    rows = "".join(rows)
     # Each body's first nonzero term follows a name's end, which is found
     # nowhere else, and a follow-on form ends in a space, so it is not the
     # start of a longer coefficient's: turn it into the lead form.
     for c, form in follow.items():
         if c:
             rows = rows.replace(_NAME_END + form, _NAME_END + _lead(c))
+    opening, closing = _lp_frame(model)
     return "".join([opening, rows, closing])
 
 
-def _nonzero_terms(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row bounds, variables and coefficients of the nonzero terms."""
-    keep = model.coeff != 0
+def _array_columns(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row bounds, variables and coefficients of every row's nonzero terms,
+    the pair rows' terms written behind the named rows'."""
+    first, second, named = model.first, model.second, len(model.index)  # named: the named rows' terms
+    rows, terms = len(model.names) + len(first), named + 2 * len(first)
+    ptr, index, coeff = np.empty(rows + 1, np.int64), np.empty(terms, np.int64), np.empty(terms, np.int64)
+    ptr[: len(model.indptr)], ptr[len(model.indptr) :] = model.indptr, np.arange(named + 2, terms + 1, 2)
+    index[:named], index[named::2], index[named + 1 :: 2] = model.index, first, second
+    coeff[:named], coeff[named:] = model.coeff, PAIR_COEFF
+    keep = coeff != 0
     if keep.all():
-        return model.indptr, model.index, model.coeff
-    return np.concatenate(([0], keep.cumsum()))[model.indptr], model.index[keep], model.coeff[keep]
+        return ptr, index, coeff
+    return np.concatenate(([0], keep.cumsum()))[ptr], index[keep], coeff[keep]
 
 
 def _lp_by_gather(model: LinearModel) -> bytes:
     """The LP text as a stream of pieces, each row its head, its nonzero
     terms and its tail, gathered from one table of byte rows."""
-    n, rows, named = len(model.var_names), len(model.rhs), len(model.names)
-    ptr, index, coeff = _nonzero_terms(model)
+    n, named, rows = len(model.var_names), len(model.names), len(model.names) + len(model.first)
+    ptr, index, coeff = _array_columns(model)
     values, value_of = codes(coeff)
     forms = byte_table([form(c) for form in (_lead, _follow) for c in values.tolist()])
     var_names = byte_table(model.var_names)
     heads = byte_table(map(_HEAD.format, model.names))
-    # a pair row's head is its class's head around the counter's digits (a
-    # stand-in class 0 keeps both tables defined on a model without pairs)
-    cls_values, cls_of = codes(model.classes)
-    before, after = (byte_table(parts) for parts in zip(*[
-        _HEAD.format(_PAIR.format(cls, "#")).split("#") for cls in [*cls_values.tolist(), 0]
-    ]))
-    digits = decimal_table(model.pair_counters())
-    rhs_values, rhs_of = codes(model.rhs)
-    tails = byte_table([_TAIL.format(rel, r) for r in rhs_values.tolist() for rel in RELATIONS])
+    # a pair row's head is its run's head around the digits of its place in
+    # the run (a stand-in class 0 keeps both tables defined with no runs)
+    classes, counts = zip(*model.pair_runs, (0, 0))
+    heads_around = [_HEAD.format(_PAIR.format(c, "#")).split("#") for c in classes]
+    before, after = (byte_table(parts) for parts in zip(*heads_around))
+    run_of = np.repeat(np.arange(len(counts)), counts)
+    digits = decimal_table(np.arange(len(run_of)) - np.repeat(np.cumsum(counts) - counts, counts))
+    # one tail per distinct (relation, rhs)
+    position: dict[tuple[str, int], int] = {}
+    tail_of = np.empty(rows, np.int64)
+    tail_of[:named] = [position.setdefault(key, len(position)) for key in zip(model.relation, model.rhs)]
+    tail_of[named:] = position.setdefault((PAIR_RELATION, PAIR_RHS), len(position))
+    tails = byte_table([_TAIL.format(*key) for key in position])
     # the table: the terms, form k before variable i in row k * n + i (the
     # lead forms of the distinct coefficients, then their follow-on forms);
-    # the heads of the rows; the tails, one per (rhs, relation)
+    # the heads of the rows; the tails
     at = (len(forms) * n, len(forms) * n + named, len(forms) * n + rows)
     cut = (forms.shape[1] + var_names.shape[1], before.shape[1] + digits.shape[1])
     width = max(cut[0], heads.shape[1], cut[1] + after.shape[1], tails.shape[1])
@@ -297,9 +265,9 @@ def _lp_by_gather(model: LinearModel) -> bytes:
     terms[:, :, forms.shape[1] : cut[0]] = var_names
     table[at[0] : at[1], : heads.shape[1]] = heads
     pair_heads = table[at[1] : at[2]]
-    pair_heads[:, : before.shape[1]] = np.take(before, cls_of, axis=0)
+    pair_heads[:, : before.shape[1]] = np.take(before, run_of, axis=0)
     pair_heads[:, before.shape[1] : cut[1]] = digits
-    pair_heads[:, cut[1] : cut[1] + after.shape[1]] = np.take(after, cls_of, axis=0)
+    pair_heads[:, cut[1] : cut[1] + after.shape[1]] = np.take(after, run_of, axis=0)
     table[at[2] :, : tails.shape[1]] = tails
     form = value_of + len(values)
     form[ptr[:-1][ptr[:-1] < ptr[1:]]] -= len(values)
@@ -309,15 +277,15 @@ def _lp_by_gather(model: LinearModel) -> bytes:
     ids = np.empty(2 * rows + len(coeff), np.int64)
     ids[np.arange(len(coeff)) + np.repeat(shift + 1, np.diff(ptr))] = form * n + index
     ids[head_at] = np.arange(at[0], at[2])
-    ids[tail_at] = at[2] + rhs_of * len(RELATIONS) + model.relation
-    opening, closing = _lp_frame(model.var_names, model.objective)
+    ids[tail_at] = at[2] + tail_of
+    opening, closing = _lp_frame(model)
     return b"".join([opening.encode(), squeeze(np.take(table, ids, axis=0)), closing.encode()])
 
 
 def _gathered(model: LinearModel) -> bool:
     """Whether the LP text is gathered as bytes: from ``GATHER_MIN_TERMS``
     matrix entries on; a smaller model is formatted as strings."""
-    return len(model.columns[2]) >= GATHER_MIN_TERMS
+    return len(model.index) + 2 * len(model.first) >= GATHER_MIN_TERMS
 
 
 def lp_text(model: LinearModel) -> str:

@@ -57,21 +57,21 @@ def test_paths_agree_past_the_cutoff():
         _same_text(model)
 
 
-def _hand_model(classes=()):
+def _hand_model(runs=(), var_names=("a", "b", "c_long_name", "d")):
     # row 0: a zero coefficient leads; row 1: no terms; row 2: -1, 0 and
     # two-digit coefficients; row 3: a negative rhs; then the pair rows
-    pairs = [(1, 2), (0, 3), (2, 3)][: len(classes)]
-    index = [0, 1, 2, 0, 1, 3, 3, *[i for pair in pairs for i in pair]]
-    coeff = [0, 3, -1, 0, 12, 10, -7, *[1] * (2 * len(pairs))]
-    indptr = [0, 2, 2, 6, 7, *range(9, 9 + 2 * len(pairs), 2)]
-    columns = (list(classes), indptr, index, coeff, [0, 1, 1, 1, *[1] * len(pairs)], [0, 1, 4, -2, *[1] * len(pairs)])
-    names = ("first_zero", "empty", "mixed", "negative")
-    return LinearModel("base", (0, 0, 0, 0), ("a", "b", "c_long_name", "d"), names, columns)
+    pairs = sum(rows for _, rows in runs)
+    first, second = np.array([1, 0, 2, 0][:pairs]), np.array([2, 3, 3, 1][:pairs])
+    names = ["first_zero", "empty", "mixed", "negative"]
+    indptr, index, coeff = [0, 2, 2, 6, 7], [0, 1, 2, 0, 1, 3, 3], [0, 3, -1, 0, 12, 10, -7]
+    relation, rhs = ["=", "<=", "<=", "<="], [0, 1, 4, -2]
+    objective = (0,) * len(var_names)
+    return LinearModel("base", objective, var_names, names, indptr, index, coeff, relation, rhs, runs, first, second)
 
 
-@pytest.mark.parametrize("classes", [(), (2,), (1, 1, 4)])
-def test_paths_agree_on_hand_built_rows(classes):
-    model = _hand_model(classes)
+@pytest.mark.parametrize("runs", [(), ((2, 1),), ((1, 2), (4, 1)), ((3, 2), (1, 2))])
+def test_paths_agree_on_hand_built_rows(runs):
+    model = _hand_model(runs)
     _same_text(model)
     text = lp_text(model)
     assert "Minimize\n obj:\nSubject To\n" in text  # an all-zero objective
@@ -79,15 +79,30 @@ def test_paths_agree_on_hand_built_rows(classes):
     assert " empty:  <= 1\n" in text
     assert " mixed: - 1 c_long_name + 12 b + 10 d <= 4\n" in text
     assert " negative: - 7 d <= -2\n" in text
-    for t, cls in enumerate(classes):
-        assert f" c{cls}_{classes[:t].count(cls)}: 1 " in text
+    # row t of a run of class c is c{c}_{t}, whatever the order of the runs
+    pair_names = [f"c{cls}_{t}" for cls, rows in runs for t in range(rows)]
+    assert model.pair_names() == [row.name for row in model.constraints[4:]] == pair_names
+    assert [model.pair_names(j, j + 1)[0] for j in range(len(pair_names))] == pair_names
+    assert text.split("Subject To\n")[1].split("Binary")[0].count("\n") == 4 + len(pair_names)
+    for name, row in zip(pair_names, model.constraints[4:]):
+        (i, _), (j, _) = row.terms
+        assert f" {name}: 1 {model.var_names[i]} + 1 {model.var_names[j]} <= 1\n" in text
 
 
-def test_paths_agree_with_array_columns():
-    lists = _hand_model((1, 3))
-    arrays = LinearModel(lists.kind, lists.objective, lists.var_names, lists.names, tuple(map(np.array, lists.columns)))
-    assert arrays == lists
-    assert ip._lp_by_strings(arrays) == ip._lp_by_strings(lists) == ip._lp_by_gather(arrays).decode()
+def test_paths_agree_on_names_past_ascii(tmp_path):
+    n = ip.GATHER_MIN_TERMS
+    var_names = tuple(f"λ{i}_ü" for i in range(n))
+    hand = _hand_model(((1, 2),), var_names)
+    model = LinearModel(
+        "base", tuple(range(-3, n - 3)), var_names, [*hand.names, "sum_ß"], [*hand.indptr, 7 + n],
+        [*hand.index, *range(n)], [*hand.coeff, *[2] * n], [*hand.relation, "<="], [*hand.rhs, 9],
+        hand.pair_runs, hand.first, hand.second,
+    )
+    assert ip._gathered(model)
+    _same_text(model)
+    export_lp(model, str(tmp_path / "m.lp"))
+    assert (tmp_path / "m.lp").read_bytes() == lp_text(model).encode()
+    assert " sum_ß: 2 λ0_ü + 2 λ1_ü" in lp_text(model)
 
 
 @pytest.mark.parametrize(
@@ -104,16 +119,6 @@ def test_qubo_paths_agree_on_hand_built_models(linear, quadratic, constant):
     assert qubo_text(model).startswith(f"3 {constant}\n")
 
 
-def test_build_paths_make_equal_models(monkeypatch):
-    inst = small_instance(8)
-    lists = _models(inst)[:2]
-    monkeypatch.setattr(ip, "GATHER_MIN_TERMS", 0)
-    arrays = _models(inst)[:2]
-    for small, large in zip(lists, arrays):
-        assert isinstance(small.columns[2], list) and isinstance(large.columns[2], np.ndarray)
-        assert small == large and lp_text(small) == lp_text(large)
-
-
 @pytest.mark.parametrize("key", [3, 8])
 def test_constraint_slices_hold_python_ints(key):
     inst = small_instance(key)
@@ -127,13 +132,28 @@ def test_constraint_slices_hold_python_ints(key):
         assert all(type(i) is int and type(c) is int for i, c in row.terms)
 
 
-def test_column_attributes_are_read_only_arrays():
-    inst = small_instance(3)
-    model = build_ip(inst, build_conflict_sets(inst), 1, 11)
-    for name, dtype in [("classes", np.int8), ("indptr", np.int64), ("index", np.int64),
-                        ("coeff", np.int64), ("relation", np.int8), ("rhs", np.int64)]:
-        column = getattr(model, name)
-        assert column.dtype == dtype and not column.flags.writeable
+def test_base_pair_rows_are_read_only_arrays():
+    inst = small_instance(8)
+    conflicts = build_conflict_sets(inst)
+    model = build_ip(inst, conflicts, 1, 11)
+    for column, source in ((model.first, conflicts.first), (model.second, conflicts.second)):
+        assert not column.flags.writeable and np.array_equal(column, source)
+    assert model.pair_runs == tuple((cls, rows) for cls, rows in enumerate(conflicts.class_counts, 1) if rows)
+    assert len(model.constraints) == len(model.names) + conflicts.pair_count
+
+
+@pytest.mark.parametrize("runs,first,second", [(((1, 1),), [0, 0], [1, 1]), (((1, 2),), [0], [1]), (((1, 1),), [0], [])])
+def test_pair_runs_must_count_the_pair_rows(runs, first, second):
+    hand = _hand_model()
+    with pytest.raises(ValueError, match="same pair rows"):
+        LinearModel(*list(vars(hand).values())[:-3], runs, np.array(first, np.int64), np.array(second, np.int64))
+
+
+def test_models_compare_pair_rows_by_value():
+    model = _hand_model(((1, 2),))
+    assert model == _hand_model(((1, 2),)) and model != _hand_model(((2, 2),))
+    moved = LinearModel(*list(vars(model).values())[:-1], np.array([3, 3]))
+    assert moved != model and (moved == object()) is False
 
 
 @pytest.mark.parametrize("make", [lambda: small_instance(3), lambda: generate(synth_topology(12, 1.6, 3), 3, 30, 2, 5)],
