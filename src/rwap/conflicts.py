@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .instance import Instance, PROTECTION, WORKING
+from .instance import Instance, PROTECTION, WORKING, check_built_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +212,6 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
         groups={divmod(s, n_wl): tuple(members) for s, members in sorted(groups.items())},
         slots=tuple(slots),
     )
-
-
-def check_built_for(instance: Instance, *structures: ConflictSets | StrongGroups | None) -> None:
-    """Raise ValueError for conflict sets or strong groups built for another instance."""
-    for s in structures:
-        if s is not None and s.instance is not instance and s.instance != instance:
-            what = "conflict sets were built for" if isinstance(s, ConflictSets) else "strong groups cover"
-            raise ValueError(f"{what} another instance")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, make_report
+from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, check_built_for, make_report
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ def rs_heur(
     alpha: int = 1,
     beta: int = 1,
 ) -> SolveReport:
+    check_built_for(instance, conflict_sets)
     prepared = _prepare(instance)
     slots = conflict_sets.strong.slots
     lengths = instance.lengths.tolist()

@@ -258,12 +258,23 @@ class Verdict:
     violations: tuple[Violation, ...]
 
 
+def check_built_for(instance: Instance, *structures) -> None:
+    """Raise ValueError for conflict sets or strong groups (the structures
+    with a ``pbar``) built for another instance; None is skipped."""
+    for s in structures:
+        if s is not None and s.instance is not instance and s.instance != instance:
+            what = "strong groups cover" if hasattr(s, "pbar") else "conflict sets were built for"
+            raise ValueError(f"{what} another instance")
+
+
 def penalty_terms(instance: Instance, conflict_sets, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The constraint terms of one bit vector, or of each row of a stack of
     them (last axis): per request the selected working count cw and the two
     request penalties, (cw - cp)**2 for eq 2 and cw * (cw - 1) for eq 3, as
     int64; per conflict row whether both of its bits are set.  A vector is
-    feasible exactly when every term is zero."""
+    feasible exactly when every term is zero.  Conflict sets built for
+    another instance are refused."""
+    check_built_for(instance, conflict_sets)
     bits = np.asarray(bits)
     at = np.zeros(bits.shape[:-1] + (instance.n_vars + 1,), dtype=np.int64)
     np.add.accumulate(bits, -1, np.int64, at[..., 1:])

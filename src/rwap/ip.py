@@ -5,8 +5,10 @@ those rows with at-most-one group constraints.  Objective coefficients are
 folded per variable before export (alpha * length - beta for working
 variables, alpha * length for protection), which keeps files minimal and
 loses nothing.  Named rows are stored as flat columns of Python lists, and
-the base model's conflict-pair rows as the conflict sets' arrays.  A large
-model's LP text is assembled as bytes, a small one's formatted as strings.
+the base model's conflict-pair rows as the conflict sets' arrays.  The named
+rows' LP text is always formatted as strings.  In a large model the pair
+rows, almost all of a base model's text, are gathered as bytes; in a small
+one they are formatted as strings too.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .bytetext import GATHER_MIN_TERMS, byte_table, codes, decimal_table, squeeze
-from .conflicts import ConflictSets, StrongGroups, check_built_for
-from .instance import Instance, WORKING, objective_coefficients, write_atomic
+from .bytetext import GATHER_MIN_TERMS, byte_table, decimal_table, squeeze
+from .conflicts import ConflictSets, StrongGroups
+from .instance import Instance, WORKING, check_built_for, objective_coefficients, write_atomic
 
 PAIR_COEFF, PAIR_RELATION, PAIR_RHS = 1, "<=", 1  # every pair row reads "first + second <= 1"
 
@@ -189,101 +191,71 @@ def _lp_frame(model: LinearModel) -> tuple[str, str]:
     return opening + "\nSubject To\n", "Binary\n" + binaries + "End\n"
 
 
-def _lp_by_strings(model: LinearModel) -> str:
-    """The LP text, each (coefficient, variable) term formatted once in
-    follow-on form, a zero term as nothing, and one string per row."""
-    names, ptr, pair_key = model.var_names, model.indptr, (PAIR_RELATION, PAIR_RHS)
-    follow = {c: _follow(c) for c in {*model.coeff, PAIR_COEFF}}
+def _named_rows(model: LinearModel) -> str:
+    """The named rows' text, each (coefficient, variable) term formatted
+    once in follow-on form, a zero term as nothing, and one string per row."""
+    names, ptr = model.var_names, model.indptr
+    follow = {c: _follow(c) for c in set(model.coeff)}
     tables = {c: list(map(form.__add__, names)) if c else [""] * len(names) for c, form in follow.items()}
     terms = [tables[c][i] for c, i in zip(model.coeff, model.index)]
-    tails = {key: _TAIL.format(*key) for key in {*zip(model.relation, model.rhs), pair_key}}
-    rows = [
+    tails = {key: _TAIL.format(*key) for key in set(zip(model.relation, model.rhs))}
+    rows = "".join([
         f"{_NAME_START}{name}{_NAME_END}{''.join(terms[lo:hi])}{tails[key]}"
         for name, lo, hi, key in zip(model.names, ptr, ptr[1:], zip(model.relation, model.rhs))
-    ]
-    if model.pair_runs:
-        one, tail = tables[PAIR_COEFF], tails[pair_key]
-        pairs = zip(model.pair_names(), model.first.tolist(), model.second.tolist())
-        rows += [f"{_NAME_START}{name}{_NAME_END}{one[i]}{one[j]}{tail}" for name, i, j in pairs]
-    rows = "".join(rows)
+    ])
     # Each body's first nonzero term follows a name's end, which is found
     # nowhere else, and a follow-on form ends in a space, so it is not the
     # start of a longer coefficient's: turn it into the lead form.
     for c, form in follow.items():
         if c:
             rows = rows.replace(_NAME_END + form, _NAME_END + _lead(c))
+    return rows
+
+
+def _pair_terms(model: LinearModel) -> tuple[list[str], list[str]]:
+    """Per variable, a pair row's body when the variable is its first, and
+    the rest of the row when it is its second."""
+    lead, follow, tail = _lead(PAIR_COEFF), _follow(PAIR_COEFF), _TAIL.format(PAIR_RELATION, PAIR_RHS)
+    return [lead + v for v in model.var_names], [follow + v + tail for v in model.var_names]
+
+
+def _lp_by_strings(model: LinearModel) -> str:
+    """The LP text formatted as strings, a pair row as one f-string."""
     opening, closing = _lp_frame(model)
-    return "".join([opening, rows, closing])
-
-
-def _array_columns(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row bounds, variables and coefficients of every row's nonzero terms,
-    the pair rows' terms written behind the named rows'."""
-    first, second, named = model.first, model.second, len(model.index)  # named: the named rows' terms
-    rows, terms = len(model.names) + len(first), named + 2 * len(first)
-    ptr, index, coeff = np.empty(rows + 1, np.int64), np.empty(terms, np.int64), np.empty(terms, np.int64)
-    ptr[: len(model.indptr)], ptr[len(model.indptr) :] = model.indptr, np.arange(named + 2, terms + 1, 2)
-    index[:named], index[named::2], index[named + 1 :: 2] = model.index, first, second
-    coeff[:named], coeff[named:] = model.coeff, PAIR_COEFF
-    keep = coeff != 0
-    if keep.all():
-        return ptr, index, coeff
-    return np.concatenate(([0], keep.cumsum()))[ptr], index[keep], coeff[keep]
+    rows = [opening, _named_rows(model)]
+    if model.pair_runs:
+        lead, close = _pair_terms(model)
+        pairs = zip(model.pair_names(), model.first.tolist(), model.second.tolist())
+        rows += [f"{_NAME_START}{name}{_NAME_END}{lead[i]}{close[j]}" for name, i, j in pairs]
+    return "".join([*rows, closing])
 
 
 def _lp_by_gather(model: LinearModel) -> bytes:
-    """The LP text as a stream of pieces, each row its head, its nonzero
-    terms and its tail, gathered from one table of byte rows."""
-    n, named, rows = len(model.var_names), len(model.names), len(model.names) + len(model.first)
-    ptr, index, coeff = _array_columns(model)
-    values, value_of = codes(coeff)
-    forms = byte_table([form(c) for form in (_lead, _follow) for c in values.tolist()])
-    var_names = byte_table(model.var_names)
-    heads = byte_table(map(_HEAD.format, model.names))
-    # a pair row's head is its run's head around the digits of its place in
-    # the run (a stand-in class 0 keeps both tables defined with no runs)
-    classes, counts = zip(*model.pair_runs, (0, 0))
-    heads_around = [_HEAD.format(_PAIR.format(c, "#")).split("#") for c in classes]
-    before, after = (byte_table(parts) for parts in zip(*heads_around))
-    run_of = np.repeat(np.arange(len(counts)), counts)
-    digits = decimal_table(np.arange(len(run_of)) - np.repeat(np.cumsum(counts) - counts, counts))
-    # one tail per distinct (relation, rhs)
-    position: dict[tuple[str, int], int] = {}
-    tail_of = np.empty(rows, np.int64)
-    tail_of[:named] = [position.setdefault(key, len(position)) for key in zip(model.relation, model.rhs)]
-    tail_of[named:] = position.setdefault((PAIR_RELATION, PAIR_RHS), len(position))
-    tails = byte_table([_TAIL.format(*key) for key in position])
-    # the table: the terms, form k before variable i in row k * n + i (the
-    # lead forms of the distinct coefficients, then their follow-on forms);
-    # the heads of the rows; the tails
-    at = (len(forms) * n, len(forms) * n + named, len(forms) * n + rows)
-    cut = (forms.shape[1] + var_names.shape[1], before.shape[1] + digits.shape[1])
-    width = max(cut[0], heads.shape[1], cut[1] + after.shape[1], tails.shape[1])
-    table = np.zeros((at[2] + len(tails), -(-width // 8) * 8), np.uint8)
-    terms = table[: at[0]].reshape(len(forms), n, -1)
-    terms[:, :, : forms.shape[1]] = forms[:, None]
-    terms[:, :, forms.shape[1] : cut[0]] = var_names
-    table[at[0] : at[1], : heads.shape[1]] = heads
-    pair_heads = table[at[1] : at[2]]
-    pair_heads[:, : before.shape[1]] = np.take(before, run_of, axis=0)
-    pair_heads[:, before.shape[1] : cut[1]] = digits
-    pair_heads[:, cut[1] : cut[1] + after.shape[1]] = np.take(after, run_of, axis=0)
-    table[at[2] :, : tails.shape[1]] = tails
-    form = value_of + len(values)
-    form[ptr[:-1][ptr[:-1] < ptr[1:]]] -= len(values)
-    # row k's head is piece ptr[k] + 2k and its tail piece ptr[k + 1] + 2k + 1; its terms lie between
-    shift = 2 * np.arange(rows)
-    head_at, tail_at = ptr[:-1] + shift, ptr[1:] + shift + 1
-    ids = np.empty(2 * rows + len(coeff), np.int64)
-    ids[np.arange(len(coeff)) + np.repeat(shift + 1, np.diff(ptr))] = form * n + index
-    ids[head_at] = np.arange(at[0], at[2])
-    ids[tail_at] = at[2] + tail_of
+    """The LP text as bytes: the named rows formatted as strings, then the
+    pair rows gathered as five byte columns, squeezed in one pass.  Pair row
+    t of a run of class c is its run's head ``" c{c}_"``, the digits of t,
+    the head's end, the first variable's term and the second's with the
+    tail."""
     opening, closing = _lp_frame(model)
-    return b"".join([opening.encode(), squeeze(np.take(table, ids, axis=0)), closing.encode()])
+    text = [opening.encode(), _named_rows(model).encode()]
+    if model.pair_runs:
+        classes, counts = zip(*model.pair_runs)
+        run_of = np.repeat(np.arange(len(counts)), counts)
+        places = np.concatenate([np.arange(rows) for rows in counts])
+        heads = byte_table([_NAME_START + _PAIR.format(c, "") for c in classes])
+        lead, close = map(byte_table, _pair_terms(model))
+        text.append(squeeze(np.hstack((
+            np.take(heads, run_of, axis=0),
+            decimal_table(places),
+            np.broadcast_to(byte_table([_NAME_END]), (len(run_of), len(_NAME_END))),
+            np.take(lead, model.first, axis=0),
+            np.take(close, model.second, axis=0),
+        ))))
+    return b"".join([*text, closing.encode()])
 
 
 def _gathered(model: LinearModel) -> bool:
-    """Whether the LP text is gathered as bytes: from ``GATHER_MIN_TERMS``
+    """Whether the pair rows are gathered as bytes: from ``GATHER_MIN_TERMS``
     matrix entries on; a smaller model is formatted as strings."""
     return len(model.index) + 2 * len(model.first) >= GATHER_MIN_TERMS
 
@@ -291,10 +263,11 @@ def _gathered(model: LinearModel) -> bool:
 def lp_text(model: LinearModel) -> str:
     """Render the model in CPLEX LP syntax with deterministic row order.
 
-    A model with ``GATHER_MIN_TERMS`` (300) matrix entries or more is
-    assembled as bytes from byte tables (``rwap.bytetext``); a smaller one
-    is formatted as strings, which is faster below the measured break-even
-    of about 250-300 entries.  Both read the same per-field strings.
+    The frame and the named rows are formatted as strings.  In a model
+    with ``GATHER_MIN_TERMS`` (300) matrix entries or more, the pair rows
+    are gathered as bytes from per-variable byte tables (``rwap.bytetext``);
+    in a smaller one each is one f-string.  Both read the same per-field
+    strings.
     """
     return _lp_by_gather(model).decode() if _gathered(model) else _lp_by_strings(model)
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conflicts import ConflictSets, StrongGroups, build_conflict_sets, check_built_for
+from .conflicts import ConflictSets, StrongGroups, build_conflict_sets
 from .instance import (
     Instance,
     PROTECTION,
     Solution,
     SolveReport,
     WORKING,
+    check_built_for,
     make_report,
     penalty_terms,
 )

@@ -28,6 +28,7 @@ from .instance import (
     Instance,
     Solution,
     _selected,
+    check_built_for,
     objective_coefficients,
     penalty_terms,
     write_atomic,
@@ -179,6 +180,7 @@ def build_qubo(instance: Instance, conflict_sets: ConflictSets, alpha: int, beta
     """
     if rho < 1:
         raise ValueError("rho must be a positive integer")
+    check_built_for(instance, conflict_sets)
 
     n = instance.n_vars
     # squared working/protection count difference, plus count * (count - 1)

@@ -4,7 +4,8 @@ The combined objective is alpha * links_used - beta * requests_granted.
 ``beta_base`` gives the closed-form integer grant weight that provably makes
 any extra granted request outweigh any possible link usage; ``compute_omega``
 enumerates the exact threshold on small instances and derives the minimal
-integer weight; ``check_prioritization`` tests the definition directly.
+integer weight; ``check_prioritization`` compares the weights with that
+threshold.
 
 Omega values are kept as exact rationals so that threshold comparisons never
 touch floating point.
@@ -134,20 +135,12 @@ def check_prioritization(
 ) -> bool:
     """True iff every feasible solution granting more requests scores a
     strictly lower objective than every feasible solution granting fewer,
-    by exhaustive enumeration."""
-    if conflict_sets is None:
-        conflict_sets = build_conflict_sets(instance)
-    levels = _level_extremes(instance, conflict_sets, cap)
-    keys = sorted(levels)
-    for hi in keys:
-        for lo in keys:
-            if hi <= lo:
-                continue
-            worst_hi = alpha * levels[hi][0] - beta * hi
-            best_lo = alpha * levels[lo][1] - beta * lo
-            if worst_hi >= best_lo:
-                return False
-    return True
+    by exhaustive enumeration.  With non-negative weights that holds
+    exactly when alpha * omega_gt < beta."""
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be non-negative integers")
+    omega_gt = compute_omega(instance, conflict_sets, cap).omega_gt
+    return omega_gt is None or alpha * omega_gt < beta
 
 
 def tight_example(l_a: int, l_b: int) -> Instance:

@@ -69,7 +69,7 @@ def _hand_model(runs=(), var_names=("a", "b", "c_long_name", "d")):
     return LinearModel("base", objective, var_names, names, indptr, index, coeff, relation, rhs, runs, first, second)
 
 
-@pytest.mark.parametrize("runs", [(), ((2, 1),), ((1, 2), (4, 1)), ((3, 2), (1, 2))])
+@pytest.mark.parametrize("runs", [(), ((2, 1),), ((1, 2), (4, 1)), ((3, 2), (1, 2)), ((12, 2), (1, 2))])
 def test_paths_agree_on_hand_built_rows(runs):
     model = _hand_model(runs)
     _same_text(model)

@@ -6,6 +6,7 @@ from rwap.conflicts import build_conflict_sets
 from rwap.instance import Instance, Lightpath, Network, Request
 from rwap.weights import (
     UndefinedWeightError,
+    _level_extremes,
     beta_base,
     check_prioritization,
     compute_omega,
@@ -13,7 +14,7 @@ from rwap.weights import (
     tight_example,
 )
 
-from helpers import grantable_small_instance
+from helpers import grantable_small_instance, small_instance
 
 
 def test_beta_base_tight_example():
@@ -110,3 +111,31 @@ def test_beta_tight_minimality_and_dominance(seed):
     if report.omega_eq.denominator == 1 and report.beta_tight - 1 >= 1:
         # integer threshold: one less must fail
         assert not check_prioritization(inst, 1, report.beta_tight - 1)
+
+
+def _prioritizes_by_levels(inst, alpha, beta, conflict_sets):
+    """The definition, pair by pair of granted-count levels: the worst
+    objective at the higher level beats the best at the lower one."""
+    levels = _level_extremes(inst, conflict_sets, 22)
+    return all(
+        alpha * levels[hi][0] - beta * hi < alpha * levels[lo][1] - beta * lo
+        for hi in levels
+        for lo in levels
+        if hi > lo
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_check_prioritization_matches_the_level_pairs(seed):
+    inst = small_instance(seed)
+    cs = build_conflict_sets(inst)
+    tight = compute_omega(inst, cs).beta_tight or 1
+    for alpha in range(4):
+        for beta in sorted({*range(0, 6), *range(max(0, alpha * tight - 4), alpha * tight + 5)}):
+            assert check_prioritization(inst, alpha, beta, cs) == _prioritizes_by_levels(inst, alpha, beta, cs)
+
+
+@pytest.mark.parametrize("alpha,beta", [(-1, 6), (1, -6), (-1, -1)])
+def test_check_prioritization_refuses_negative_weights(alpha, beta):
+    with pytest.raises(ValueError, match="non-negative"):
+        check_prioritization(tight_example(2, 3), alpha, beta)
