@@ -25,6 +25,19 @@ def _weights_for(instance, alpha, beta):
     return w.alpha, w.beta
 
 
+# each solver budget option: the method that reads it and its smallest value
+_BUDGETS = (("iterations", "da", 0), ("replicas", "da", 1), ("budget", "rs", 1), ("node_limit", "bnb", 0))
+
+
+def _check_budgets(args, methods) -> None:
+    """Exit with a usage error (status 2) when an option that one of the
+    methods reads is below its smallest value; the others are not read."""
+    for dest, method, low in _BUDGETS:
+        value = getattr(args, dest, None)
+        if method in methods and value is not None and value < low:
+            args.usage_error(f"argument --{dest.replace('_', '-')}: must be at least {low}, got {value}")
+
+
 def _print_data(data: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=1))
@@ -106,6 +119,7 @@ def _cmd_export_qubo(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_budgets(args, [args.method])
     inst = load_instance(args.instance)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
     report, result = bench_mod.solve(
@@ -158,6 +172,7 @@ def _cmd_reduce_mss(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = args.methods.split(",")
+    _check_budgets(args, methods)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
     sweep = [int(s) for s in args.rho_sweep.split(",")] if args.rho_sweep else [None]
     instances = [(path, load_instance(path)) for path in args.instances]
@@ -241,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="write iteration,best_energy CSV (da only)")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
     p.add_argument("instance")
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-sweep", default=None, help="comma list of offsets added to beta for the da method")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, usage_error=p.error)
 
     return parser
 

@@ -1,6 +1,6 @@
 import pytest
 
-from rwap.anneal import AnnealConfig, AnnealResult, anneal, repair, solve_rwap_da
+from rwap.anneal import _LIST_MAX_VARS, AnnealConfig, AnnealResult, anneal, repair, solve_rwap_da
 from rwap.conflicts import build_conflict_sets
 from rwap.gen import generate, synth_topology
 from rwap.instance import Instance, Lightpath, Network, Request
@@ -9,6 +9,13 @@ from rwap.qubo import QuboModel, build_qubo
 from rwap.weights import beta_base, tight_example
 
 from helpers import small_instance
+
+
+def _above_the_list_cutoff(rho):
+    inst = generate(synth_topology(8, 1.6, 3), 3, 3, 2, 3)
+    q = build_qubo(inst, build_conflict_sets(inst), alpha=1, beta=15, rho=rho)
+    assert q.n == 36 > _LIST_MAX_VARS
+    return q
 
 
 def _tight_qubo():
@@ -25,12 +32,14 @@ def test_finds_tight_example_optimum(seed):
 
 
 def test_the_energy_check_reads_the_model_energy(monkeypatch):
-    # the check fires after every 1024 iterations and must recompute through QuboModel.energy
-    _, q = _tight_qubo()
+    # the check fires after every 1024 iterations and must recompute through
+    # QuboModel.energy, on the list path (2 variables) and the numpy path (36)
+    models = [_tight_qubo()[1], _above_the_list_cutoff(rho=115)]
     true_energy = QuboModel.energy
     monkeypatch.setattr(QuboModel, "energy", lambda self, bits: true_energy(self, bits) + 1)
-    with pytest.raises(AssertionError, match="incremental energy bookkeeping diverged"):
-        anneal(q, AnnealConfig(iterations=1024, seed=0))
+    for q in models:
+        with pytest.raises(AssertionError, match="incremental energy bookkeeping diverged"):
+            anneal(q, AnnealConfig(iterations=1024, seed=0))
 
 
 def test_zero_model_immediate():
@@ -192,5 +201,33 @@ _PINNED = [
 def test_seeded_results_are_pinned(mode, iterations, replicas, rho, t_min, bits, energy, accepted, activations, trace):
     inst = generate(synth_topology(8, 1.6, 3), 2, 2, 2, 3)
     q = build_qubo(inst, build_conflict_sets(inst), alpha=1, beta=15, rho=rho)
+    config = AnnealConfig(iterations, replicas, t_min=t_min, exchange_interval=50, seed=4, mode=mode)
+    assert anneal(q, config) == AnnealResult(tuple(map(int, bits)), energy, trace, accepted, activations)
+
+
+# The same runs on a 36-variable instance, above _LIST_MAX_VARS, so they take
+# the numpy path; computed with the iteration-major loop that ran for every
+# model size before the list path existed.  Same columns as _PINNED.
+_PINNED_NUMPY_PATH = [
+    ("tempering", 300, 1, 115, 1.0, "000001001000000100001000010000000010", -25, 300, 0,
+     ((0, 0), (2, -8), (4, -18), (230, -25))),
+    ("tempering", 300, 3, 115, 1.0, "000001001000000100001000010000000010", -25, 328, 572,
+     ((0, 0), (2, -8), (4, -18), (230, -25))),
+    ("single", 300, 1, 115, 1.0, "000010100000000001000001100000100000", -26, 100, 200,
+     ((0, 0), (2, -8), (4, -18), (30, -24), (96, -25), (136, -26))),
+    ("single", 300, 3, 115, 1.0, "000100001000000001000001010000000100", -27, 300, 600,
+     ((0, 0), (2, -8), (4, -18), (30, -24), (76, -25), (84, -27))),
+    ("tempering", 300, 3, 2, 50.0, "100010010000000001000000100001001000", -28, 900, 0,
+     ((0, 0), (1, -10), (2, -12), (3, -19), (4, -21), (6, -23), (7, -28))),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, iterations, replicas, rho, t_min, bits, energy, accepted, activations, trace", _PINNED_NUMPY_PATH
+)
+def test_seeded_results_are_pinned_on_the_numpy_path(
+    mode, iterations, replicas, rho, t_min, bits, energy, accepted, activations, trace
+):
+    q = _above_the_list_cutoff(rho)
     config = AnnealConfig(iterations, replicas, t_min=t_min, exchange_interval=50, seed=4, mode=mode)
     assert anneal(q, config) == AnnealResult(tuple(map(int, bits)), energy, trace, accepted, activations)

@@ -226,6 +226,29 @@ def test_solve_reads_only_its_own_method_options(inst_path, capsys, method, fore
     assert json.loads(capsys.readouterr().out)["f_beta"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--method", "da", "--iterations", "-5"], "--iterations: must be at least 0, got -5"),
+        (["solve", "--method", "da", "--replicas", "0"], "--replicas: must be at least 1, got 0"),
+        (["solve", "--method", "rs", "--budget", "0"], "--budget: must be at least 1, got 0"),
+        (["solve", "--method", "bnb", "--node-limit", "-3"], "--node-limit: must be at least 0, got -3"),
+        (["bench", "--methods", "rs,da", "--iterations", "-1"], "--iterations: must be at least 0, got -1"),
+        (["bench", "--methods", "rs", "--budget", "-2"], "--budget: must be at least 1, got -2"),
+        (["bench", "--methods", "da,bnb", "--node-limit", "-1"], "--node-limit: must be at least 0, got -1"),
+    ],
+)
+def test_an_out_of_range_budget_is_a_usage_error(inst_path, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], inst_path, *argv[1:], "-o", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"usage: rwap {argv[0]} ")
+    assert captured.err.endswith(f"rwap {argv[0]}: error: argument {message}\n")
+
+
 def test_solve_json_shows_mixed_wavelength_grants(tmp_path, capsys):
     # the working path exists only on wavelength 0, the protection path only on 1
     net = Network(node_count=2, links=((0, 1), (0, 1)))
