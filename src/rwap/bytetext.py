@@ -11,10 +11,13 @@ The per-call numpy costs make this slower than plain string formatting on
 small models.  On a 2-core x86-64 VM a desk-size QUBO of 36 entries took
 33 us gathered against 11 us formatted, and the two QUBO paths meet at
 about 250-300 entries.  The LP gathers only a base model's conflict-pair
-rows and formats its named rows either way; its paths meet at about 800
-matrix entries (8 entries: 78 us gathered against 20 us formatted; 320
-entries: 136 us against 104 us).  Both exports format models with fewer
-than ``GATHER_MIN_TERMS`` entries as strings.
+rows and formats its named rows either way, so its paths meet later: over
+generated base models of 400-1200 matrix entries (best of 9 x 50 calls,
+interleaved), the gathered text took a median 1.13x the formatted time at
+400-499 entries, 1.01x at 600-699, 0.93x at 700-799 and 0.84x at
+1000-1099 (12 entries: 61 us against 20 us).  A QUBO with fewer than
+``GATHER_MIN_TERMS`` entries and an LP with fewer than
+``LP_GATHER_MIN_TERMS`` are formatted as strings.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-GATHER_MIN_TERMS = 300  # LP matrix entries, or QUBO variables plus pair entries
+GATHER_MIN_TERMS = 300  # QUBO variables plus pair entries
+LP_GATHER_MIN_TERMS = 700  # LP matrix entries
 
 
 def byte_table(strings: Iterable[str], align: int = 1) -> np.ndarray:

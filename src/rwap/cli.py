@@ -8,13 +8,14 @@ import sys
 
 from . import bench as bench_mod
 from .conflicts import build_conflict_sets, build_strong_groups, count_constraints
-from .gen import generate, synth_topology
+from .gen import GenerationError, generate, synth_topology
 from .instance import (
     Solution, load_instance, network_from_dict, report_to_dict, save_instance, verify_feasible, write_atomic,
 )
 from .ip import build_ip, export_lp
+from .oracle import EnumerationLimitError
 from .qubo import DEFAULT_RHO_OFFSET, build_qubo, export_qubo, rho_base
-from .reduce import MssGraph, mss_to_rwap
+from .reduce import graph_from_dict, mss_to_rwap
 from .weights import beta_base, compute_omega
 
 
@@ -137,18 +138,19 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _read_solution(path: str) -> Solution:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "bits" not in doc:
+        raise ValueError("solution document has no 'bits' entry")
+    if not isinstance(doc["bits"], str):
+        raise ValueError(f"solution bits must be a string of 0s and 1s, got {doc['bits']!r}")
+    return Solution.from_string(doc["bits"])
+
+
 def _cmd_verify(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            bits = json.load(fh)["bits"]
-        verdict = verify_feasible(inst, build_conflict_sets(inst), Solution.from_string(bits))
-    except KeyError as exc:
-        print(f"error: solution document has no {exc} entry", file=sys.stderr)
-        return 2
-    except (OSError, TypeError, ValueError) as exc:  # no such file, not JSON, a malformed instance, bad bits
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = load_instance(args.instance)
+    verdict = verify_feasible(inst, build_conflict_sets(inst), _read_solution(args.solution))
     if verdict.feasible:
         print("feasible")
         return 0
@@ -159,11 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce_mss(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    graph = MssGraph(
-        node_count=int(payload["nodes"]),
-        edges=tuple(tuple(sorted((int(u), int(v)))) for u, v in payload["edges"]),
-    )
+        graph = graph_from_dict(json.load(fh))
     inst = mss_to_rwap(graph)
     save_instance(inst, args.output)
     print(f"wrote {args.output}: {inst.n_vars} variables from {graph.node_count} graph nodes")
@@ -283,9 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# bad input: a missing or unwritable file, a document that is not JSON or is
+# malformed (rwap's input errors are ValueErrors), a shape the generator
+# cannot build or a model past the enumeration cap
+_INPUT_ERRORS = (OSError, ValueError, GenerationError, EnumerationLimitError)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Bad input ends it with one ``error: ...`` line on
+    stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ covering it.
 
 ``build_strong_groups`` is the one place that turns links and wavelengths
 into slots; ``ConflictSets.strong`` keeps its result, the slot table that the
-pairwise closure, branch-and-bound and the greedy read.  The closure is
+pairwise closure and branch-and-bound read.  The closure is
 numpy array work, with one sortable int64 key per pair and no loop over pairs.
 """
 

@@ -5,11 +5,13 @@ with the first available combination found by scanning link-disjoint
 (working path, protection path) pairs in increasing combined length and, per
 pair, wavelengths in index order: both paths on the same wavelength first,
 then mixed wavelength pairs in lexicographic order (the model itself allows
-the two paths of a request to differ in wavelength).  A combination is
-available when no (link, wavelength) slot its two variables cover, as read
-from the slot table ``ConflictSets.strong.slots``, is already taken by a
-granted lightpath.  The best pass by granted count wins, ties broken by
-fewer links and then by earliest pass.
+the two paths of a request to differ in wavelength).  Occupancy is one
+integer mask per link, whose bit lam is set while a granted lightpath holds
+(link, lam).  A route's free wavelengths are those it carries with no bit
+set on any of its links, so a pair's first available combination is the
+lowest wavelength free on both routes, or else the lowest free on each.  The
+best pass by granted count wins, ties broken by fewer links and then by
+earliest pass.
 """
 
 from __future__ import annotations
@@ -32,54 +34,42 @@ class RsConfig:
             raise ValueError("at least one permutation is required")
 
 
-_Options = list[tuple[int, int]]  # (wavelength, variable index) of one route, wavelength ascending
+_Route = tuple[tuple[int, ...], dict[int, int], int]  # links, wavelength -> variable, wavelength mask
 
 
-def _routes(lightpaths, variables: range) -> list[tuple[tuple[int, ...], _Options]]:
+def _routes(lightpaths, variables: range) -> list[_Route]:
     """Lightpaths grouped by route, in order of first appearance; a route's
     first variable on each wavelength stands for it."""
     table: dict[tuple[int, ...], dict[int, int]] = {}
     for i, lp in zip(variables, lightpaths):
         table.setdefault(lp.links, {}).setdefault(lp.wavelength, i)
-    return [(links, sorted(by_wavelength.items())) for links, by_wavelength in table.items()]
+    return [(links, on, sum(1 << lam for lam in on)) for links, on in table.items()]
 
 
-def _prepare(instance: Instance) -> list[list[tuple[_Options, _Options, list[tuple[int, int]]]]]:
+def _prepare(instance: Instance) -> list[list[tuple[_Route, _Route]]]:
     """Per request, its link-disjoint (working route, protection route)
-    pairs, shortest first, each as the two routes' options and the
-    (working, protection) variables of every wavelength both carry."""
+    pairs, shortest first."""
     prepared = []
     for req in instance.requests:
         wroutes = _routes(req.working, instance.var_range(req.id, WORKING))
         proutes = _routes(req.protection, instance.var_range(req.id, PROTECTION))
         pairs = sorted(
             (len(wl) + len(pl), wi, pi)
-            for wi, (wl, _) in enumerate(wroutes)
-            for pi, (pl, _) in enumerate(proutes)
+            for wi, (wl, _, _) in enumerate(wroutes)
+            for pi, (pl, _, _) in enumerate(proutes)
             if not set(wl) & set(pl)
         )
-        plan = []
-        for _, wi, pi in pairs:
-            wopts, popts = wroutes[wi][1], proutes[pi][1]
-            on_p = dict(popts)
-            plan.append((wopts, popts, [(iw, on_p[lam]) for lam, iw in wopts if lam in on_p]))
-        prepared.append(plan)
+        prepared.append([(wroutes[wi], proutes[pi]) for _, wi, pi in pairs])
     return prepared
 
 
-def _first_free(plan, occupied: set[int], slots) -> tuple[int, int, bool] | None:
-    """The first available (working, protection) variables of a request,
-    and whether their wavelengths differ."""
-    for wopts, popts, same in plan:
-        for iw, ip in same:
-            if occupied.isdisjoint(slots[iw]) and occupied.isdisjoint(slots[ip]):
-                return iw, ip, False
-        for lw, iw in wopts:
-            if occupied.isdisjoint(slots[iw]):
-                for lp, ip in popts:
-                    if lp != lw and occupied.isdisjoint(slots[ip]):
-                        return iw, ip, True
-    return None
+def _free(route: _Route, busy: list[int]) -> int:
+    """The wavelengths the route carries that none of its links has busy."""
+    links, _, have = route
+    taken = 0
+    for e in links:
+        taken |= busy[e]
+    return have & ~taken
 
 
 def rs_heur(
@@ -91,8 +81,8 @@ def rs_heur(
 ) -> SolveReport:
     check_built_for(instance, conflict_sets)
     prepared = _prepare(instance)
-    slots = conflict_sets.strong.slots
     lengths = instance.lengths.tolist()
+    n_links = len(instance.network.links)
     n_req = len(instance.requests)
     best_key: tuple[int, int] | None = None  # (-granted, links)
     best_bits: list[int] = [0] * instance.n_vars
@@ -103,22 +93,30 @@ def rs_heur(
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(perm_index,)))
         )
         order = stream.permutation(n_req)
-        occupied: set[int] = set()  # slot ids of the granted lightpaths
+        busy = [0] * n_links  # per link, bit lam set while a granted lightpath holds (link, lam)
         bits = [0] * instance.n_vars
         granted = 0
         links_used = 0
         mixed = 0
-        for rid in order:
-            chosen = _first_free(prepared[rid], occupied, slots)
-            if chosen is None:
-                continue
-            iw, ip, differ = chosen
-            bits[iw] = bits[ip] = 1
-            occupied.update(slots[iw])
-            occupied.update(slots[ip])
-            granted += 1
-            links_used += lengths[iw] + lengths[ip]
-            mixed += differ
+        for rid in order.tolist():
+            for wroute, proute in prepared[rid]:
+                free_w = _free(wroute, busy)
+                free_p = _free(proute, busy) if free_w else 0
+                if not free_p:
+                    continue
+                if free_w & free_p:  # the lowest wavelength free on both
+                    free_w = free_p = free_w & free_p
+                else:  # the lowest free on each: they differ, as the masks share no bit
+                    mixed += 1
+                lw, lp = (free_w & -free_w).bit_length() - 1, (free_p & -free_p).bit_length() - 1
+                for links, lam in ((wroute[0], lw), (proute[0], lp)):
+                    for e in links:
+                        busy[e] |= 1 << lam
+                iw, ip = wroute[1][lw], proute[1][lp]
+                bits[iw] = bits[ip] = 1
+                granted += 1
+                links_used += lengths[iw] + lengths[ip]
+                break
         key = (-granted, links_used)
         if best_key is None or key < best_key:
             best_key = key

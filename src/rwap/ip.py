@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .bytetext import GATHER_MIN_TERMS, byte_table, decimal_table, squeeze
+from .bytetext import LP_GATHER_MIN_TERMS, byte_table, decimal_table, squeeze
 from .conflicts import ConflictSets, StrongGroups
 from .instance import Instance, WORKING, check_built_for, objective_coefficients, write_atomic
 
@@ -255,16 +255,17 @@ def _lp_by_gather(model: LinearModel) -> bytes:
 
 
 def _gathered(model: LinearModel) -> bool:
-    """Whether the pair rows are gathered as bytes: from ``GATHER_MIN_TERMS``
-    matrix entries on; a smaller model is formatted as strings."""
-    return len(model.index) + 2 * len(model.first) >= GATHER_MIN_TERMS
+    """Whether the pair rows are gathered as bytes: from
+    ``LP_GATHER_MIN_TERMS`` matrix entries on; a smaller model is formatted
+    as strings."""
+    return len(model.index) + 2 * len(model.first) >= LP_GATHER_MIN_TERMS
 
 
 def lp_text(model: LinearModel) -> str:
     """Render the model in CPLEX LP syntax with deterministic row order.
 
     The frame and the named rows are formatted as strings.  In a model
-    with ``GATHER_MIN_TERMS`` (300) matrix entries or more, the pair rows
+    with ``LP_GATHER_MIN_TERMS`` (700) matrix entries or more, the pair rows
     are gathered as bytes from per-variable byte tables (``rwap.bytetext``);
     in a smaller one each is one f-string.  Both read the same per-field
     strings.

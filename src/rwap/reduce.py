@@ -44,6 +44,17 @@ class MssGraph:
             seen.add((u, v))
 
 
+def graph_from_dict(data: dict) -> MssGraph:
+    """A ``{"nodes": n, "edges": [[u, v], ...]}`` document, each edge stored
+    with u < v."""
+    try:
+        nodes = int(data["nodes"])
+        edges = tuple(tuple(sorted((int(u), int(v)))) for u, v in data["edges"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph document: {exc}") from exc
+    return MssGraph(node_count=nodes, edges=edges)
+
+
 class _Builder:
     def __init__(self, requests: int):
         self.next_node = 0

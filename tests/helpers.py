@@ -176,6 +176,26 @@ def parallel_link_requests(count: int, shared: bool) -> Instance:
     return Instance(Network(node_count=2, links=((0, 1),) * links), 1, requests)
 
 
+def empty_blocks_instance() -> Instance:
+    """Full blocks at both ends; between them a request without working
+    lightpaths, one without protection lightpaths and one with neither."""
+    net = Network(node_count=3, links=((0, 1), (1, 2), (0, 2), (0, 1), (1, 2)))
+    upper, direct, lower, mixed = (
+        Lightpath((0, 1), 0),
+        Lightpath((2,), 0),
+        Lightpath((3, 4), 0),
+        Lightpath((0, 4), 1),
+    )
+    requests = (
+        Request(0, 0, 2, (upper, direct), (lower,)),
+        Request(1, 0, 2, (), (direct, mixed)),
+        Request(2, 0, 2, (lower,), ()),
+        Request(3, 0, 2, (), ()),
+        Request(4, 0, 2, (mixed, direct), (upper, lower)),
+    )
+    return Instance(network=net, wavelength_count=2, requests=requests)
+
+
 def random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(b) for b in rng.integers(0, 2, size=n))
 

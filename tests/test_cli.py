@@ -8,9 +8,10 @@ import pytest
 from rwap.bench import CSV_COLUMNS, rows_to_csv
 from rwap.cli import main
 from rwap.conflicts import build_conflict_sets, build_strong_groups
+from rwap.gen import generate, synth_topology
 from rwap.instance import (
     Instance, InstanceError, Lightpath, Network, Request, instance_to_dict, load_instance, network_from_dict,
-    save_instance,
+    save_instance, write_atomic,
 )
 from rwap.ip import build_ip, lp_text
 from rwap.qubo import build_qubo, qubo_text
@@ -62,13 +63,20 @@ def test_gen_from_topology_file(tmp_path, inst_path):
     assert regen.network == figure1_instance().network
 
 
+def _error_line(capsys) -> str:
+    """The one stderr line of a command that ended in exit status 2."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 @pytest.mark.parametrize("doc", [{"nodes": 3}, {"links": [[0, 1]]}, [1, 2]])
-def test_gen_rejects_a_malformed_topology_file(tmp_path, doc):
+def test_gen_rejects_a_malformed_topology_file(tmp_path, capsys, doc):
     topology = tmp_path / "topology.json"
     topology.write_text(json.dumps(doc))
     argv = ["gen", "--topology", str(topology), "--wavelengths", "1", "--requests", "1", "--paths", "1"]
-    with pytest.raises(InstanceError, match="malformed network document"):
-        main(argv + ["-o", str(tmp_path / "out.json")])
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert _error_line(capsys).startswith("error: malformed network document")
 
 
 def _figure1_doc(change):
@@ -94,7 +102,7 @@ MALFORMED_VALUES = {
 
 
 @pytest.mark.parametrize("case", MALFORMED_VALUES)
-def test_a_malformed_value_is_an_instance_error(tmp_path, case):
+def test_a_malformed_value_is_an_instance_error(tmp_path, capsys, case):
     part, doc = MALFORMED_VALUES[case]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -106,8 +114,8 @@ def test_a_malformed_value_is_an_instance_error(tmp_path, case):
     if part == "network":
         with pytest.raises(InstanceError, match=malformed):
             network_from_dict(doc)
-        with pytest.raises(InstanceError, match=malformed):
-            main(gen)
+        assert main(gen) == 2
+        assert _error_line(capsys).startswith(f"error: malformed {part} document: ")
         assert not out.exists()
     else:  # a topology file is read for its network part only
         assert network_from_dict(doc) == figure1_instance().network
@@ -475,8 +483,8 @@ def test_failed_write_leaves_the_previous_file(inst_path, tmp_path, monkeypatch,
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="rename failed"):
-        main(argv)
+    assert main(argv) == 2
+    assert _error_line(capsys) == "error: rename failed\n"
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
 
@@ -486,9 +494,9 @@ def test_a_write_into_a_missing_directory_names_the_destination(inst_path, tmp_p
     out = tmp_path / "missing" / "out.txt"
     argv = _output_commands(inst_path, tmp_path)[command] + ["-o", str(out)]
     before = sorted(p.name for p in tmp_path.iterdir())
-    with pytest.raises(FileNotFoundError) as info:
-        main(argv)
-    assert info.value.filename == str(out) and ".tmp'" not in str(info.value)
+    assert main(argv) == 2
+    message = _error_line(capsys)
+    assert message.startswith("error: [Errno 2] ") and f"'{out}'" in message and ".tmp'" not in message
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -517,8 +525,8 @@ def test_failed_trace_write_leaves_the_previous_file(inst_path, tmp_path, monkey
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="rename failed"):
-        main(_trace_argv(inst_path, trace))
+    assert main(_trace_argv(inst_path, trace)) == 2
+    assert _error_line(capsys) == "error: rename failed\n"
     assert trace.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
 
@@ -532,3 +540,76 @@ def test_trace_file_gets_the_mode_of_a_plain_open(inst_path, tmp_path, capsys):
         os.umask(old)
     assert stat.S_IMODE(trace.stat().st_mode) == 0o640
     assert trace.read_text().splitlines()[0] == "iteration,best_energy"
+
+
+def test_write_atomic_names_the_destination(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic(str(out), "text")
+    assert info.value.filename == str(out) and ".tmp'" not in str(info.value)
+
+
+def _input_argv(command, source, out, solution):
+    """The command reading source as its input document."""
+    return {
+        "gen": ["gen", "--topology", source, "--wavelengths", "1", "--requests", "1", "--paths", "1", "-o", out],
+        "conflicts": ["conflicts", source],
+        "weights": ["weights", source],
+        "export-lp": ["export-lp", source, "-o", out],
+        "export-qubo": ["export-qubo", source, "-o", out],
+        "solve": ["solve", source, "--method", "rs", "-o", out],
+        "verify": ["verify", source, solution],
+        "reduce-mss": ["reduce-mss", source, "-o", out],
+        "bench": ["bench", source, "-o", out],
+    }[command]
+
+
+def _impossible_argv(command, tmp_path, out, good):
+    """The command on a well-formed input that it cannot handle: a shape the
+    generator cannot build, a model past a cap, weights that do not exist."""
+
+    def saved(name, instance):
+        save_instance(instance, str(tmp_path / name))
+        return str(tmp_path / name)
+
+    if command == "gen":
+        return ["gen", "--topology", "synth:4,1.5", "--wavelengths", "1", "--requests", "20", "--paths", "4", "-o", out]
+    if command == "conflicts":  # past the conflict sort key's limit
+        return ["conflicts", saved("huge.json", parallel_link_requests(40_000, shared=True))]
+    if command in ("weights", "solve"):  # 32 variables, past the enumeration caps
+        wide = saved("wide.json", generate(synth_topology(8, 1.6, 4), 2, 4, 2, 4))
+        return ["weights", wide, "--tight"] if command == "weights" else ["solve", wide, "--method", "exact", "-o", out]
+    if command in ("export-lp", "export-qubo"):  # no request has a protection path, so no default beta
+        return [command, saved("unprotected.json", parallel_link_requests(2, shared=False)), "-o", out]
+    if command == "verify":
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"bits": "1"}))
+        return ["verify", good, str(short)]
+    if command == "reduce-mss":
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": 2, "edges": [[1, 1]]}))
+        return ["reduce-mss", str(graph), "-o", out]
+    return ["bench", good, "--seeds", "1,x", "-o", out]
+
+
+@pytest.mark.parametrize("case", ["missing file", "not JSON", "malformed document", "impossible shape or cap"])
+@pytest.mark.parametrize(
+    "command", ["gen", "conflicts", "weights", "export-lp", "export-qubo", "solve", "verify", "reduce-mss", "bench"]
+)
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, command, case):
+    good, solution, source = tmp_path / "good.json", tmp_path / "solution.json", tmp_path / "input.json"
+    save_instance(figure1_instance(), str(good))
+    solution.write_text(json.dumps({"bits": "1001110"}))
+    out = str(tmp_path / "out.txt")
+    if case == "impossible shape or cap":
+        argv = _impossible_argv(command, tmp_path, out, str(good))
+    else:
+        if case == "not JSON":
+            source.write_text("{not json")
+        elif case == "malformed document":  # no links, no requests, no edges
+            source.write_text(json.dumps({"nodes": 2}))
+        argv = _input_argv(command, str(source), out, str(solution))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 2
+    _error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output file, no temp file

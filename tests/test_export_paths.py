@@ -1,17 +1,19 @@
 """The two ways of writing each export give the same text.
 
-Models below ``GATHER_MIN_TERMS`` terms are formatted as strings and larger
-ones are assembled as bytes from byte tables.  Both writers are called here
-directly, on every digest-pinned instance, on a model past the cutoff and on
-hand-built edge cases, and must agree byte for byte.  The view and file
-tests pin what readers of a model and of an exported file see.
+Models below their export's cutoff (``LP_GATHER_MIN_TERMS`` matrix entries
+for the LP, ``GATHER_MIN_TERMS`` terms for the QUBO) are formatted as
+strings and larger ones are assembled as bytes from byte tables.  Both
+writers are called here directly, on every digest-pinned instance, on a
+model past the cutoff and on hand-built edge cases, and must agree byte for
+byte.  The view and file tests pin what readers of a model and of an
+exported file see.
 """
 
 import numpy as np
 import pytest
 
 from rwap import ip
-from rwap.bytetext import codes, decimal_table
+from rwap.bytetext import GATHER_MIN_TERMS, codes, decimal_table
 from rwap.conflicts import build_conflict_sets, build_strong_groups
 from rwap.gen import generate, synth_topology
 from rwap.instance import write_atomic
@@ -52,7 +54,7 @@ def test_paths_agree_past_the_cutoff():
     inst = generate(synth_topology(12, 1.6, 3), 3, 30, 2, 5)
     assert inst.n_vars == 360
     base, strong, qubo = _models(inst)
-    assert len(base.index) >= ip.GATHER_MIN_TERMS and len(qubo.quadratic) >= ip.GATHER_MIN_TERMS
+    assert ip._gathered(base) and len(qubo.quadratic) >= GATHER_MIN_TERMS
     for model in (base, strong, qubo):
         _same_text(model)
 
@@ -90,7 +92,7 @@ def test_paths_agree_on_hand_built_rows(runs):
 
 
 def test_paths_agree_on_names_past_ascii(tmp_path):
-    n = ip.GATHER_MIN_TERMS
+    n = ip.LP_GATHER_MIN_TERMS
     var_names = tuple(f"λ{i}_ü" for i in range(n))
     hand = _hand_model(((1, 2),), var_names)
     model = LinearModel(

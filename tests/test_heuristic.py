@@ -4,11 +4,11 @@ import pytest
 from rwap.conflicts import build_conflict_sets
 from rwap.gen import generate, synth_topology
 from rwap.heuristic import RsConfig, rs_heur
-from rwap.instance import Instance, Lightpath, Network, PROTECTION, Request, WORKING, verify_feasible
+from rwap.instance import Instance, Lightpath, Network, PROTECTION, Request, Solution, WORKING, verify_feasible
 from rwap.oracle import brute_force_ip
 from rwap.weights import beta_base
 
-from helpers import small_instance
+from helpers import empty_blocks_instance, small_instance
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -181,3 +181,79 @@ def test_slot_table_greedy_equals_tuple_slot_reference_with_mixed_grants():
         got = _greedy_outputs(inst, cs, budget, 11)
         assert got == tuple_slot_rs_heur(inst, budget, 11)
         assert got[3] > 0
+
+
+def _parallel(links: int) -> Network:
+    return Network(node_count=2, links=((0, 1),) * links)
+
+
+def _repeated_route_instance():
+    # request 0 lists (link 0, wavelength 0) twice and (link 1, wavelength 0)
+    # twice; only the first variable of each may be granted
+    twice = Request(0, 0, 1, (Lightpath((0,), 0), Lightpath((0,), 0)), (Lightpath((1,), 0), Lightpath((1,), 0)))
+    rival = Request(1, 0, 1, (Lightpath((0,), 0), Lightpath((2,), 1)), (Lightpath((1,), 0), Lightpath((1,), 1)))
+    return Instance(_parallel(3), 2, (twice, rival))
+
+
+def _repeated_link_walk_instance():
+    # the working walk 0 -> 1 -> 0 -> 1 uses link 0 twice; a rival wants link 0
+    net = Network(node_count=2, links=((0, 1), (1, 0), (0, 1), (0, 1)))
+    walk = Request(0, 0, 1, (Lightpath((0, 1, 0), 0), Lightpath((0, 1, 0), 1)), (Lightpath((2,), 0),))
+    rival = Request(1, 0, 1, (Lightpath((0,), 0), Lightpath((0,), 1)), (Lightpath((3,), 0), Lightpath((3,), 1)))
+    return Instance(net, 2, (walk, rival))
+
+
+def _wide_mask_instance():
+    # 70 wavelengths, lightpaths only on 0, 63, 64 and 69, so the masks span
+    # more than one 64-bit word; requests 3 and 4 can only be granted mixed
+    both, high = (0, 63, 64, 69), (64, 69)
+    requests = [
+        Request(r, 0, 1, tuple(Lightpath((0,), lam) for lam in both), tuple(Lightpath((1,), lam) for lam in both))
+        for r in range(3)
+    ] + [
+        Request(r, 0, 1, tuple(Lightpath((0,), lam) for lam in high), tuple(Lightpath((1,), lam) for lam in (0, 63)))
+        for r in (3, 4)
+    ]
+    return Instance(_parallel(2), 70, tuple(requests))
+
+
+def _no_disjoint_pair_instance():
+    # request 0's routes all share link 0; request 1 is grantable
+    shared = Request(0, 0, 1, (Lightpath((0,), 0),), (Lightpath((0,), 0), Lightpath((0,), 1)))
+    free = Request(1, 0, 1, (Lightpath((0,), 1),), (Lightpath((1,), 0), Lightpath((1,), 1)))
+    return Instance(_parallel(2), 2, (shared, free))
+
+
+MASK_CASES = {
+    "same route and wavelength twice": _repeated_route_instance,
+    "walk repeating a link": _repeated_link_walk_instance,
+    "masks wider than a word": _wide_mask_instance,
+    "no link-disjoint pair": _no_disjoint_pair_instance,
+    "empty blocks": empty_blocks_instance,
+    "contention": lambda: generate(synth_topology(30, 1.5, 7), 2, 300, 2, 7),
+}
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_mask_greedy_equals_tuple_slot_reference(case):
+    inst = MASK_CASES[case]()
+    cs = build_conflict_sets(inst)
+    for budget in (3,) if case == "contention" else (1, 5, 20):
+        for seed in (0, 7):
+            got = _greedy_outputs(inst, cs, budget, seed)
+            assert got == tuple_slot_rs_heur(inst, budget, seed)
+            assert verify_feasible(inst, cs, Solution.from_array(got[0])).feasible
+
+
+def test_mask_greedy_grants_past_the_first_word():
+    inst = _wide_mask_instance()
+    report = rs_heur(inst, build_conflict_sets(inst), RsConfig(20, 0))
+    granted = {inst.lightpath_at(i).wavelength for i in np.flatnonzero(report.solution.bits).tolist()}
+    assert report.f_beta == 4 and report.mixed_wavelength_grants >= 1
+    assert {64, 69} <= granted
+
+
+def test_repeated_route_grants_its_first_variable():
+    inst = _repeated_route_instance()
+    bits = rs_heur(inst, build_conflict_sets(inst), RsConfig(20, 0)).solution.bits
+    assert bits[1] == bits[3] == 0  # the second copies of request 0's routes

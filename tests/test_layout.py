@@ -11,10 +11,7 @@ from rwap.anneal import repair
 from rwap.conflicts import build_conflict_sets, build_strong_groups
 from rwap.instance import (
     Instance,
-    Lightpath,
-    Network,
     PROTECTION,
-    Request,
     Solution,
     WORKING,
     f_alpha,
@@ -28,27 +25,7 @@ from rwap.oracle import branch_and_bound, brute_force_ip, feasible_objectives
 from rwap.qubo import build_qubo, penalty
 from rwap.heuristic import RsConfig, rs_heur
 
-from helpers import enumerate_feasible_raw, raw_feasible, raw_violation_count
-
-
-def empty_blocks_instance() -> Instance:
-    """Full blocks at both ends; between them a request without working
-    lightpaths, one without protection lightpaths and one with neither."""
-    net = Network(node_count=3, links=((0, 1), (1, 2), (0, 2), (0, 1), (1, 2)))
-    upper, direct, lower, mixed = (
-        Lightpath((0, 1), 0),
-        Lightpath((2,), 0),
-        Lightpath((3, 4), 0),
-        Lightpath((0, 4), 1),
-    )
-    requests = (
-        Request(0, 0, 2, (upper, direct), (lower,)),
-        Request(1, 0, 2, (), (direct, mixed)),
-        Request(2, 0, 2, (lower,), ()),
-        Request(3, 0, 2, (), ()),
-        Request(4, 0, 2, (mixed, direct), (upper, lower)),
-    )
-    return Instance(network=net, wavelength_count=2, requests=requests)
+from helpers import empty_blocks_instance, enumerate_feasible_raw, raw_feasible, raw_violation_count
 
 
 def raw_counts(instance, bits):
