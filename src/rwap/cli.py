@@ -10,7 +10,7 @@ from . import bench as bench_mod
 from .conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from .gen import GenerationError, generate, synth_topology
 from .instance import (
-    Solution, load_instance, network_from_dict, report_to_dict, save_instance, verify_feasible, write_atomic,
+    Solution, load_instance, network_from_dict, read_json, report_to_dict, save_instance, verify_feasible, write_atomic,
 )
 from .ip import build_ip, export_lp
 from .oracle import EnumerationLimitError
@@ -53,8 +53,7 @@ def _cmd_gen(args) -> int:
         topo = synth_topology(int(nodes_s), float(deg_s), seed=args.seed)
     else:
         # either a bare {nodes, links} document or a full instance file
-        with open(args.topology, "r", encoding="utf-8") as fh:
-            topo = network_from_dict(json.load(fh))
+        topo = network_from_dict(read_json(args.topology))
     inst = generate(topo, args.wavelengths, args.requests, args.paths, args.seed)
     save_instance(inst, args.output)
     print(f"wrote {args.output}: {inst.n_vars} variables, {len(inst.requests)} requests")
@@ -139,8 +138,7 @@ def _cmd_solve(args) -> int:
 
 
 def _read_solution(path: str) -> Solution:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "bits" not in doc:
         raise ValueError("solution document has no 'bits' entry")
     if not isinstance(doc["bits"], str):
@@ -160,8 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce_mss(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph = graph_from_dict(json.load(fh))
+    graph = graph_from_dict(read_json(args.graph))
     inst = mss_to_rwap(graph)
     save_instance(inst, args.output)
     print(f"wrote {args.output}: {inst.n_vars} variables from {graph.node_count} graph nodes")

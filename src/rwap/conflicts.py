@@ -10,8 +10,9 @@ protections overlapping it; per (link, wavelength) slot, every lightpath
 covering it.
 
 ``build_strong_groups`` is the one place that turns links and wavelengths
-into slots; ``ConflictSets.strong`` keeps its result, the slot table that the
-pairwise closure and branch-and-bound read.  The closure is
+into slots and tests lightpaths for shared links.  ``ConflictSets.strong``
+keeps its slot table, read by the pairwise closure and branch-and-bound, and
+its grant options, read by the greedy and branch-and-bound.  The closure is
 numpy array work, with one sortable int64 key per pair and no loop over pairs.
 """
 
@@ -19,11 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
+from types import MappingProxyType
 
 import numpy as np
 
 from .instance import Instance, PROTECTION, WORKING, check_built_for
+
+Route = tuple[tuple[int, ...], tuple[int, ...], MappingProxyType[int, int], int]  # see StrongGroups
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +160,20 @@ class StrongGroups:
     wavelength), in key order, to the sorted variable indices of every
     lightpath covering that slot; groups with fewer than two members
     constrain nothing and are skipped at constraint emission but kept here
-    for counting.  instance is the instance the groups were built for.
+    for counting.  options holds per request its grant options, the
+    link-disjoint (working route, protection route) pairs, by combined length
+    and then by route order.  A route is a distinct link tuple of a request's
+    working or protection lightpaths: (links, its variables ascending,
+    wavelength -> its first variable there, which stands for the route, mask
+    of the wavelengths it carries).  instance is the instance the groups were
+    built for.
     """
 
     instance: Instance = field(compare=False, repr=False)
     pbar: dict[tuple[int, int], tuple[int, ...]]
     groups: dict[tuple[int, int], tuple[int, ...]]
     slots: tuple[tuple[int, ...], ...]
+    options: tuple[tuple[tuple[Route, Route], ...], ...] = field(compare=False, repr=False)
 
     def emitted_groups(self) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
         return [(key, mem) for key, mem in self.groups.items() if len(mem) >= 2]
@@ -177,28 +188,56 @@ class StrongGroups:
 
     def variable_pairs(self, instance: Instance) -> set[tuple[int, int]]:
         """Pairwise closure of pbar and the (link, wavelength) groups."""
-        pairs: set[tuple[int, int]] = set()
-        for (r, w), plist in self.pbar.items():
-            i = instance.var_of(r, WORKING, w)
-            for p in plist:
-                j = instance.var_of(r, PROTECTION, p)
-                pairs.add((i, j) if i < j else (j, i))
+        pairs = {  # a request's working variables precede its protections
+            (instance.var_of(r, WORKING, w), instance.var_of(r, PROTECTION, p))
+            for (r, w), plist in self.pbar.items()
+            for p in plist
+        }
         for members in self.groups.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    pairs.add((members[a], members[b]))
+            pairs.update(combinations(members, 2))  # members ascend
         return pairs
+
+
+def _routes(lightpaths, start: int) -> tuple[list[int], list[Route]]:
+    """Each lightpath's route index, and the routes in order of first appearance; variables count from start."""
+    table: dict[tuple[int, ...], list] = {}  # links -> [route index, variables, wavelength -> first variable, mask]
+    route_of = []
+    for i, lp in enumerate(lightpaths, start):
+        route = table.get(lp.links)
+        if route is None:
+            table[lp.links] = route = [len(table), [], {}, 0]
+        route_of.append(route[0])
+        route[1].append(i)
+        if lp.wavelength not in route[2]:
+            route[2][lp.wavelength] = i
+            route[3] |= 1 << lp.wavelength
+    return route_of, [(links, tuple(on), MappingProxyType(wl), mask) for links, (_, on, wl, mask) in table.items()]
 
 
 def build_strong_groups(instance: Instance) -> StrongGroups:
     pbar: dict[tuple[int, int], tuple[int, ...]] = {}
     groups: dict[int, list[int]] = {}
     slots: list[tuple[int, ...]] = []
+    options: list[tuple[tuple[Route, Route], ...]] = []
     n_wl = instance.wavelength_count
     for req in instance.requests:
-        protections = [set(pl.links) for pl in req.protection]
-        for w, wl in enumerate(req.working):
-            pbar[req.id, w] = tuple(p for p, links in enumerate(protections) if not links.isdisjoint(wl.links))
+        working_of, wroutes = _routes(req.working, len(slots))
+        protection_of, proutes = _routes(req.protection, len(slots) + len(req.working))
+        # the one test for shared links, once per (working, protection) route pair;
+        # blocked holds per working route the protections sharing a link with it
+        pairs, blocked = [], []
+        for a, (wl, *_) in enumerate(wroutes):
+            links, hit = set(wl), []
+            for b, (pl, *_) in enumerate(proutes):
+                if links.isdisjoint(pl):
+                    pairs.append((len(wl) + len(pl), a, b))
+                else:
+                    hit.append(b)
+            blocked.append(tuple([p for p, b in enumerate(protection_of) if b in hit]))
+        pairs.sort()
+        options.append(tuple([(wroutes[a], proutes[b]) for _, a, b in pairs]))
+        for w, a in enumerate(working_of):
+            pbar[req.id, w] = blocked[a]
         # lightpaths are walked in variable order, so i is the variable
         # index and each group comes out sorted
         for i, lp in enumerate(req.working + req.protection, len(slots)):
@@ -206,12 +245,8 @@ def build_strong_groups(instance: Instance) -> StrongGroups:
             for s in covered:
                 groups.setdefault(s, []).append(i)
             slots.append(covered)
-    return StrongGroups(
-        instance=instance,
-        pbar=pbar,
-        groups={divmod(s, n_wl): tuple(members) for s, members in sorted(groups.items())},
-        slots=tuple(slots),
-    )
+    keyed = {divmod(s, n_wl): tuple(members) for s, members in sorted(groups.items())}
+    return StrongGroups(instance=instance, pbar=pbar, groups=keyed, slots=tuple(slots), options=tuple(options))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Random-permutation greedy assignment.
 
 Each pass processes the requests in a random order.  A request is granted
-with the first available combination found by scanning link-disjoint
-(working path, protection path) pairs in increasing combined length and, per
-pair, wavelengths in index order: both paths on the same wavelength first,
-then mixed wavelength pairs in lexicographic order (the model itself allows
-the two paths of a request to differ in wavelength).  Occupancy is one
-integer mask per link, whose bit lam is set while a granted lightpath holds
-(link, lam).  A route's free wavelengths are those it carries with no bit
-set on any of its links, so a pair's first available combination is the
-lowest wavelength free on both routes, or else the lowest free on each.  The
-best pass by granted count wins, ties broken by fewer links and then by
-earliest pass.
+with the first available combination found by scanning its grant options
+(``StrongGroups.options``: link-disjoint route pairs) in increasing combined
+length and, per pair, wavelengths in index order: both paths on the same
+wavelength first, then mixed wavelength pairs in lexicographic order (the
+model itself allows the two paths of a request to differ in wavelength).
+Occupancy is one integer mask per link, whose bit lam is set while a
+granted lightpath holds (link, lam).  A route's free wavelengths are those
+it carries with no bit set on any of its links, so a pair's first available
+combination is the lowest wavelength free on both routes, or else the lowest
+free on each.  The best pass by granted count wins, ties broken by fewer
+links and then by earliest pass.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conflicts import ConflictSets
-from .instance import Instance, PROTECTION, Solution, SolveReport, WORKING, check_built_for, make_report
+from .conflicts import ConflictSets, Route
+from .instance import Instance, Solution, SolveReport, check_built_for, make_report
 
 
 @dataclass(frozen=True)
@@ -34,38 +34,9 @@ class RsConfig:
             raise ValueError("at least one permutation is required")
 
 
-_Route = tuple[tuple[int, ...], dict[int, int], int]  # links, wavelength -> variable, wavelength mask
-
-
-def _routes(lightpaths, variables: range) -> list[_Route]:
-    """Lightpaths grouped by route, in order of first appearance; a route's
-    first variable on each wavelength stands for it."""
-    table: dict[tuple[int, ...], dict[int, int]] = {}
-    for i, lp in zip(variables, lightpaths):
-        table.setdefault(lp.links, {}).setdefault(lp.wavelength, i)
-    return [(links, on, sum(1 << lam for lam in on)) for links, on in table.items()]
-
-
-def _prepare(instance: Instance) -> list[list[tuple[_Route, _Route]]]:
-    """Per request, its link-disjoint (working route, protection route)
-    pairs, shortest first."""
-    prepared = []
-    for req in instance.requests:
-        wroutes = _routes(req.working, instance.var_range(req.id, WORKING))
-        proutes = _routes(req.protection, instance.var_range(req.id, PROTECTION))
-        pairs = sorted(
-            (len(wl) + len(pl), wi, pi)
-            for wi, (wl, _, _) in enumerate(wroutes)
-            for pi, (pl, _, _) in enumerate(proutes)
-            if not set(wl) & set(pl)
-        )
-        prepared.append([(wroutes[wi], proutes[pi]) for _, wi, pi in pairs])
-    return prepared
-
-
-def _free(route: _Route, busy: list[int]) -> int:
+def _free(route: Route, busy: list[int]) -> int:
     """The wavelengths the route carries that none of its links has busy."""
-    links, _, have = route
+    links, _, _, have = route
     taken = 0
     for e in links:
         taken |= busy[e]
@@ -80,8 +51,7 @@ def rs_heur(
     beta: int = 1,
 ) -> SolveReport:
     check_built_for(instance, conflict_sets)
-    prepared = _prepare(instance)
-    lengths = instance.lengths.tolist()
+    options = conflict_sets.strong.options
     n_links = len(instance.network.links)
     n_req = len(instance.requests)
     best_key: tuple[int, int] | None = None  # (-granted, links)
@@ -99,7 +69,7 @@ def rs_heur(
         links_used = 0
         mixed = 0
         for rid in order.tolist():
-            for wroute, proute in prepared[rid]:
+            for wroute, proute in options[rid]:
                 free_w = _free(wroute, busy)
                 free_p = _free(proute, busy) if free_w else 0
                 if not free_p:
@@ -112,10 +82,10 @@ def rs_heur(
                 for links, lam in ((wroute[0], lw), (proute[0], lp)):
                     for e in links:
                         busy[e] |= 1 << lam
-                iw, ip = wroute[1][lw], proute[1][lp]
+                iw, ip = wroute[2][lw], proute[2][lp]
                 bits[iw] = bits[ip] = 1
                 granted += 1
-                links_used += lengths[iw] + lengths[ip]
+                links_used += len(wroute[0]) + len(proute[0])
                 break
         key = (-granted, links_used)
         if best_key is None or key < best_key:

@@ -420,9 +420,17 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(network=net, wavelength_count=wavelengths, requests=requests)
 
 
-def load_instance(path: str) -> Instance:
+def read_json(path: str):
+    """The JSON document at path; a text that is not UTF-8 or not JSON names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_instance(path: str) -> Instance:
+    return instance_from_dict(read_json(path))
 
 
 def write_atomic(destination: str, text: str | bytes) -> None:

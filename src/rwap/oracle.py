@@ -6,9 +6,9 @@ restricted to small variable counts.  The QUBO oracle and ``qubo.rho_tight``
 read it, and so does ``_feasible``, the one pass over the feasible vectors
 that both IP oracles read; ``_penalty_totals`` scores a chunk's rows (zero
 exactly when feasible).  Branch-and-bound searches over per-request
-assignments with mutually-exclusive-group propagation and an optimistic
-objective bound, walking a stack of child generators, and remains exact
-whenever its node budget is not exhausted.
+assignments, one variable pair of the request's grant options at a time,
+with an optimistic objective bound, walking a stack of child generators, and
+remains exact whenever its node budget is not exhausted.
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conflicts import ConflictSets, StrongGroups, build_conflict_sets
-from .instance import (
-    Instance,
-    PROTECTION,
-    Solution,
-    SolveReport,
-    WORKING,
-    check_built_for,
-    make_report,
-    penalty_terms,
-)
+from .instance import Instance, Solution, SolveReport, check_built_for, make_report, penalty_terms
 
 ENUMERATION_CAP = 24
 CHUNK_BITS = 16
@@ -121,22 +112,19 @@ def brute_force_qubo(qubo, cap: int = ENUMERATION_CAP) -> tuple[Solution, int]:
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-def _plan(instance: Instance, strong: StrongGroups) -> list[tuple[int, list]]:
-    """Per request, its link-disjoint (combined length, working variable,
-    protection variable, slots of both) pairs, shortest first."""
-    lengths, slots = instance.lengths.tolist(), strong.slots
-    plans = []
-    for req in instance.requests:
-        protection = instance.var_range(req.id, PROTECTION)
-        pairs = []
-        for w, iw in enumerate(instance.var_range(req.id, WORKING)):
-            blocked = set(strong.pbar[(req.id, w)])
-            for p, ip_ in enumerate(protection):
-                if p not in blocked:
-                    pairs.append((lengths[iw] + lengths[ip_], iw, ip_, slots[iw] + slots[ip_]))
-        pairs.sort()  # (length, working, protection) never ties, so slots are not compared
-        plans.append((req.id, pairs))
-    return plans
+def _plan(strong: StrongGroups) -> list[list[tuple]]:
+    """Per request, the (combined length, working variable, protection
+    variable, slots of both) pairs of its grant options, shortest first."""
+    slots = strong.slots
+    return [
+        sorted(  # (length, working, protection) never ties, so slots are not compared
+            (len(wl) + len(pl), iw, ip_, slots[iw] + slots[ip_])
+            for (wl, wv, _, _), (pl, pv, _, _) in options
+            for iw in wv
+            for ip_ in pv
+        )
+        for options in strong.options
+    ]
 
 
 def branch_and_bound(
@@ -159,9 +147,9 @@ def branch_and_bound(
     interpreter's recursion limit.
     """
     check_built_for(instance, strong_groups, conflict_sets)
-    # requests by descending best-case gain, working pairs before skipping
-    plans = sorted(_plan(instance, strong_groups), key=lambda pl: (alpha * pl[1][0][0] - beta if pl[1] else 1, pl[0]))
-    order = [pairs for _, pairs in plans]
+    # requests by descending best-case gain, working pairs before skipping;
+    # the sort is stable, so ties keep request order
+    order = sorted(_plan(strong_groups), key=lambda pairs: alpha * pairs[0][0] - beta if pairs else 1)
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + (min(0, alpha * order[i][0][0] - beta) if order[i] else 0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conflicts import build_conflict_sets
-from .instance import Instance, Lightpath, Network, PROTECTION, Request, SolveReport, WORKING
+from .instance import Instance, Lightpath, Network, PROTECTION, Request, SolveReport, WORKING, _int
 from .oracle import ENUMERATION_CAP, branch_and_bound, brute_force_ip
 
 
@@ -48,8 +48,8 @@ def graph_from_dict(data: dict) -> MssGraph:
     """A ``{"nodes": n, "edges": [[u, v], ...]}`` document, each edge stored
     with u < v."""
     try:
-        nodes = int(data["nodes"])
-        edges = tuple(tuple(sorted((int(u), int(v)))) for u, v in data["edges"])
+        nodes = _int(data["nodes"])
+        edges = tuple(tuple(sorted((_int(u), _int(v)))) for u, v in data["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
     return MssGraph(node_count=nodes, edges=edges)

@@ -611,5 +611,33 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, command, case)
         argv = _input_argv(command, str(source), out, str(solution))
     before = sorted(p.name for p in tmp_path.iterdir())
     assert main(argv) == 2
-    _error_line(capsys)
+    line = _error_line(capsys)
+    if case == "not JSON":  # a syntax error names the file it is in
+        assert str(source) in line
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output file, no temp file
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"])
+def test_verify_names_the_broken_solution_file(tmp_path, capsys, content):
+    good, broken = tmp_path / "good.json", tmp_path / "broken.json"
+    save_instance(figure1_instance(), str(good))
+    broken.write_bytes(content)
+    assert main(["verify", str(good), str(broken)]) == 2
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {broken}: ") and str(good) not in line
+
+
+@pytest.mark.parametrize("doc", [
+    {"nodes": 2.9, "edges": [["0", 1.7]]},
+    {"nodes": 2.9, "edges": [[0, 1]]},
+    {"nodes": 2, "edges": [["0", 1]]},
+    {"nodes": 2, "edges": [[0, 1.7]]},
+    {"nodes": True, "edges": []},
+    {"nodes": 2, "edges": [[False, 1]]},
+])
+def test_reduce_mss_takes_only_integers(tmp_path, capsys, doc):
+    graph, out = tmp_path / "graph.json", tmp_path / "out.json"
+    graph.write_text(json.dumps(doc))
+    assert main(["reduce-mss", str(graph), "-o", str(out)]) == 2
+    assert _error_line(capsys).startswith("error: malformed graph document: ")
+    assert not out.exists()
