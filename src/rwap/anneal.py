@@ -16,11 +16,13 @@ cooling curve repeated for every replica.
 Replicas interact only at a refill of the random block, at an exchange and
 at the energy check every 1024 iterations.  The loop therefore walks
 segments, each ending at the next of these or at the last iteration, and
-runs the refill, the exchange and the check at the segment boundaries.
-Inside a segment a model of up to ``_LIST_MAX_VARS``
-variables runs each replica's stretch alone on Python lists, where numpy's
-per-call cost would dominate arrays this short; a larger model steps all
-replicas together in numpy, one iteration at a time.  Each replica records
+runs the refill, the exchange and the check at the segment boundaries.  A
+refill draws, logs and scales each replica's rows in place, replica-major,
+one replica after another.  Inside a segment a model of up to
+``_LIST_MAX_VARS`` variables runs each replica's stretch alone on Python
+lists, where numpy's per-call cost would dominate arrays this short; a larger
+model steps all replicas together in numpy, one iteration at a time, reading
+a flip's neighbours as a slice of the adjacency.  Each replica records
 its new lows, and merging them in (iteration, energy, replica) order gives
 the best state and trace that a per-iteration minimum over the replicas
 gives.  Python floats are the same doubles as numpy's and every operation
@@ -43,7 +45,8 @@ from itertools import pairwise
 import numpy as np
 
 from .conflicts import ConflictSets
-from .instance import Instance, Solution, SolveReport, make_report, objective_coefficients, penalty_terms
+from .instance import Instance, Solution, SolveReport, check_built_for, make_report, objective_coefficients
+from .instance import penalty_terms_unchecked
 from .qubo import QuboModel, build_qubo
 
 # Models of at most this many variables anneal one replica at a time on
@@ -100,13 +103,7 @@ def _exchange_stream(seed: int, round_index: int) -> np.random.Generator:
 def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     n = qubo.n
     if n == 0:
-        return AnnealResult(
-            best_bits=(),
-            best_energy=qubo.constant,
-            trace=((0, qubo.constant),),
-            accepted_flips=0,
-            offset_activations=0,
-        )
+        return AnnealResult((), qubo.constant, ((0, qubo.constant),), 0, 0)
     reps = config.replicas
     iters = config.iterations
     t_max = float(qubo.rho) if config.t_max is None else config.t_max
@@ -120,11 +117,10 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         cols, qs = indices.tolist(), data.astype(np.float64).tolist()
         links = [list(zip(cols[a:b], qs[a:b])) for a, b in pairwise(indptr.tolist())]
     else:
-        # per variable: its neighbours with their couplings q and -q
-        neighbours = np.split(indices, indptr[1:-1])
-        couplings = np.split(data, indptr[1:-1])
-        anti = np.split(-data, indptr[1:-1])
-        gate = np.empty((reps, n))
+        # variable i's neighbours and couplings q are the slice
+        # starts[i]:starts[i + 1] of indices and data; anti holds -q
+        starts, anti = indptr.tolist(), -data
+        sums = np.empty((reps, n))
         candidates = np.empty((reps, n), dtype=bool)
 
     state = np.zeros((reps, n), dtype=np.int8)
@@ -133,6 +129,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     delta = np.tile(np.array(qubo.linear, dtype=np.float64), (reps, 1))
     energy = np.full(reps, qubo.constant, dtype=np.int64)
     offset = np.zeros(reps)
+    stalled = False  # whether any offset is nonzero (numpy path)
 
     # temperature of each (iteration, replica), a read-only view
     tempering = config.mode == "tempering"
@@ -146,8 +143,8 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     # iterations per refill, sized so thresholds stay in a core's cache;
     # each stream is read in order, so the size does not change results
     block = max(8, min(256, 200_000 // max(n * reps, 1)))
-    thresholds = np.empty((block, reps, n))  # iteration-major: contiguous slices
-    choices = np.empty((block, reps))
+    thresholds = np.empty((reps, block, n))  # replica-major: a replica's rows are contiguous
+    choices = np.empty((reps, block))
 
     best_energy = int(qubo.constant)
     best_bits = state[0].copy()
@@ -164,13 +161,15 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         if exchanging:
             t1 = min(t1, (t0 // config.exchange_interval + 1) * config.exchange_interval)
         if b0 == 0:
+            # each replica draws its rows in place; none past the last iteration
             cold = -table[t0 : t0 + block]
             with np.errstate(divide="ignore"):
                 for r in range(reps):
-                    u = flip_streams[r].random((block, n))[: len(cold)]
+                    u = thresholds[r, : len(cold)]
+                    flip_streams[r].random(out=u)
                     np.log(u, out=u)
-                    np.multiply(u, cold[:, r, None], out=thresholds[: len(cold), r])
-                    choices[:, r] = choice_streams[r].random(block)
+                    np.multiply(u, cold[:, r, None], out=u)
+                    choice_streams[r].random(out=choices[r, : len(cold)])
 
         if on_lists:
             # replicas meet only at segment ends, so each runs its stretch
@@ -181,7 +180,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             for r in range(reps):
                 row, bits = delta[r].tolist(), state[r].tolist()
                 e, off, flips = _stretch(
-                    row, bits, links, thresholds[b0:b1, r].tolist(), choices[b0:b1, r].tolist(),
+                    row, bits, links, thresholds[r, b0:b1].tolist(), choices[r, b0:b1].tolist(),
                     int(energy[r]), float(offset[r]), increment, best_energy, t0, r, lows,
                 )
                 delta[r], state[r], energy[r], offset[r] = row, bits, e, off
@@ -194,27 +193,31 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         else:
             for t in range(t0, t1):
                 bt = t % block
-                np.add(thresholds[bt], offset[:, None], out=gate)
+                # offsets are zero unless a replica stalled last iteration, and
+                # thresholds are never -0.0 or NaN, so adding a zero offset is a no-op
+                gate = np.add(thresholds[:, bt], offset[:, None], out=sums) if stalled else thresholds[:, bt]
                 np.less(delta, gate, out=candidates)
 
                 # replicas without a candidate raise their offset; the others take
                 # candidate floor(choice * m) of their m candidates
                 live = candidates.any(axis=1)
                 active = live.nonzero()[0].tolist()
-                if len(active) < reps:
+                stalled = len(active) < reps
+                if stalled:
                     offset[~live] += increment
                     activations += reps - len(active)
                 for r in active:
                     idx = candidates[r].nonzero()[0]
                     m = len(idx)
-                    pick = int(idx[min(int(choices[bt, r] * m), m - 1)])
+                    pick = int(idx[min(int(choices[r, bt] * m), m - 1)])
                     row, bits = delta[r], state[r]
                     step = row[pick]
                     energy[r] += int(step)
-                    nb = neighbours[pick]
+                    lo, hi = starts[pick], starts[pick + 1]
+                    nb = indices[lo:hi]
                     # a neighbour's delta moves by +q if its bit equals the flipped
                     # bit before the flip, else by -q
-                    up, down = (anti[pick], couplings[pick]) if bits[pick] else (couplings[pick], anti[pick])
+                    up, down = (anti[lo:hi], data[lo:hi]) if bits[pick] else (data[lo:hi], anti[lo:hi])
                     row[nb] += np.where(bits[nb], down, up)
                     row[pick] = -step
                     bits[pick] ^= 1
@@ -234,21 +237,14 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             for k in range(reps - 1):
                 arg = (1.0 / temps[k] - 1.0 / temps[k + 1]) * float(energy[k] - energy[k + 1])
                 if arg >= 0 or draws[k] < math.exp(arg):
-                    state[[k, k + 1]] = state[[k + 1, k]]
-                    delta[[k, k + 1]] = delta[[k + 1, k]]
-                    energy[[k, k + 1]] = energy[[k + 1, k]]
+                    for a in (state, delta, energy):
+                        a[[k, k + 1]] = a[[k + 1, k]]
 
         if __debug__ and t1 % 1024 == 0:
             assert [qubo.energy(bits) for bits in state] == energy.tolist(), "incremental energy bookkeeping diverged"
         t0 = t1
 
-    return AnnealResult(
-        best_bits=tuple(int(b) for b in best_bits),
-        best_energy=best_energy,
-        trace=tuple(trace),
-        accepted_flips=accepted,
-        offset_activations=activations,
-    )
+    return AnnealResult(tuple(int(b) for b in best_bits), best_energy, tuple(trace), accepted, activations)
 
 
 def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
@@ -299,11 +295,12 @@ def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alp
     True when anything was cleared.  Terminates because every pass clears
     one set bit and the all-zero vector is feasible.
     """
+    check_built_for(instance, conflict_sets)
     damage = -objective_coefficients(instance, alpha, beta)
     on = np.array(bits, dtype=bool)
     changed = False
     while True:
-        _, eq2, eq3, hit = penalty_terms(instance, conflict_sets, on)
+        _, eq2, eq3, hit = penalty_terms_unchecked(instance, conflict_sets, on)
         involved = (eq2 + eq3 > 0)[instance.request_of]
         rows = hit.nonzero()[0]
         involved[conflict_sets.first[rows]] = True

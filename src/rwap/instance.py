@@ -28,6 +28,10 @@ class InstanceError(ValueError):
     """Raised when instance data violates the format or its invariants."""
 
 
+class MalformedDocument(InstanceError):
+    """Raised when a document lacks a field or holds a value of the wrong type."""
+
+
 class DimensionError(ValueError):
     """Raised when a bit vector does not match the instance variable count."""
 
@@ -275,6 +279,11 @@ def penalty_terms(instance: Instance, conflict_sets, bits) -> tuple[np.ndarray, 
     feasible exactly when every term is zero.  Conflict sets built for
     another instance are refused."""
     check_built_for(instance, conflict_sets)
+    return penalty_terms_unchecked(instance, conflict_sets, bits)
+
+
+def penalty_terms_unchecked(instance: Instance, conflict_sets, bits) -> tuple[np.ndarray, ...]:
+    """``penalty_terms`` for a caller that has run ``check_built_for`` once."""
     bits = np.asarray(bits)
     at = np.zeros(bits.shape[:-1] + (instance.n_vars + 1,), dtype=np.int64)
     np.add.accumulate(bits, -1, np.int64, at[..., 1:])
@@ -393,7 +402,7 @@ def network_from_dict(data: dict) -> Network:
     try:
         nodes, links = _int(data["nodes"]), tuple((_int(t), _int(h)) for t, h in data["links"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed network document: {exc}") from exc
+        raise MalformedDocument(f"malformed network document: {exc}") from exc
     return Network(node_count=nodes, links=links)
 
 
@@ -416,7 +425,7 @@ def instance_from_dict(data: dict) -> Instance:
         )
         wavelengths = _int(data["wavelengths"])
     except (KeyError, TypeError) as exc:
-        raise InstanceError(f"malformed instance document: {exc}") from exc
+        raise MalformedDocument(f"malformed instance document: {exc}") from exc
     return Instance(network=net, wavelength_count=wavelengths, requests=requests)
 
 
@@ -430,7 +439,11 @@ def read_json(path: str):
 
 
 def load_instance(path: str) -> Instance:
-    return instance_from_dict(read_json(path))
+    """The instance document at path; a malformed one ends its message with the path."""
+    try:
+        return instance_from_dict(read_json(path))
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"{exc}, in {path}") from exc
 
 
 def write_atomic(destination: str, text: str | bytes) -> None:

@@ -186,3 +186,41 @@ def test_matches_with_a_block_that_does_not_divide_the_check_interval(n):
     q = _model(n)
     assert 1024 % max(8, min(256, 200_000 // (n * 33)))
     assert anneal(q, config) == reference_anneal(q, config)
+
+
+def _sparse_model(n: int, rho: int = 20) -> QuboModel:
+    """A numpy-path model with about three couplings per variable.  Only one
+    variable in a hundred lowers the energy when set, so once a replica has
+    set those, a cold one finds no candidate for many iterations in a row and
+    its offset rises until one appears."""
+    rng = np.random.default_rng(n)
+    ends = rng.integers(0, n, (2, 3 * n)).tolist()
+    couplings = rng.integers(-10, 30, 3 * n).tolist()
+    pairs = {(min(i, j), max(i, j)): q for i, j, q in zip(*ends, couplings) if i != j}
+    linear = rng.integers(20, 60, n)
+    linear[: n // 100] *= -1
+    return QuboModel(n=n, linear=tuple(linear.tolist()), quadratic=pairs, constant=3, rho=rho, alpha=1, beta=1)
+
+
+# (n, replicas, refill block): the block reaches its floor of 8 once
+# n * replicas >= 25,000, as on the 6000-variable, 4-replica benchmark
+# model; 1000 x 8 gives a block of 25, which divides neither 1024 nor 1030.
+SCALE_SHAPES = [(3125, 8, 8), (6250, 4, 8), (1000, 8, 25)]
+
+# (mode, iterations, exchange interval): 1030 iterations cross the check at
+# 1024 and end inside a block; 13 end inside the second block of 8 and
+# inside the first block of 25.
+SCALE_RUNS = [("tempering", 1030, 7), ("tempering", 1030, 50), ("single", 1030, 50), ("tempering", 13, 5), ("single", 13, 5)]
+
+
+@pytest.mark.parametrize("mode, iterations, interval", SCALE_RUNS)
+@pytest.mark.parametrize("n, replicas, block", SCALE_SHAPES)
+def test_matches_at_the_scale_refill_blocks(n, replicas, block, mode, iterations, interval):
+    assert max(8, min(256, 200_000 // (n * replicas))) == block
+    config = AnnealConfig(iterations, replicas, exchange_interval=interval, seed=n + iterations, mode=mode)
+    q = _sparse_model(n)
+    result = anneal(q, config)
+    assert result == reference_anneal(q, config)
+    if iterations > 1000:  # offsets went on and off, and new lows were found
+        assert min(result.accepted_flips, result.offset_activations) > iterations * replicas // 10
+        assert len(result.trace) > 5

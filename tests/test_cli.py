@@ -627,6 +627,20 @@ def test_verify_names_the_broken_solution_file(tmp_path, capsys, content):
     assert line.startswith(f"error: {broken}: ") and str(good) not in line
 
 
+@pytest.mark.parametrize("part, doc", [
+    ("network", {"nodes": 2}),
+    ("instance", _figure1_doc(lambda doc: doc.update(wavelengths="x"))),
+])
+def test_bench_names_the_malformed_file(tmp_path, capsys, part, doc):
+    good, broken, out = tmp_path / "good.json", tmp_path / "malformed.json", tmp_path / "out.csv"
+    save_instance(figure1_instance(), str(good))
+    broken.write_text(json.dumps(doc))
+    assert main(["bench", str(good), str(broken), "--methods", "rs", "-o", str(out)]) == 2
+    line = _error_line(capsys)
+    assert line.startswith(f"error: malformed {part} document: ") and line.endswith(f", in {broken}\n")
+    assert str(good) not in line and not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"nodes": 2.9, "edges": [["0", 1.7]]},
     {"nodes": 2.9, "edges": [[0, 1]]},

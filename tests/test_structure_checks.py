@@ -6,7 +6,7 @@ from rwap.anneal import repair
 from rwap.conflicts import build_conflict_sets, build_strong_groups, count_constraints
 from rwap.gen import generate, synth_topology
 from rwap.heuristic import RsConfig, rs_heur
-from rwap.instance import Solution, instance_from_dict, instance_to_dict, make_report, verify_feasible
+from rwap.instance import Instance, Solution, instance_from_dict, instance_to_dict, make_report, verify_feasible
 from rwap.ip import build_ip
 from rwap.oracle import branch_and_bound
 from rwap.qubo import build_qubo, penalty
@@ -122,3 +122,17 @@ def test_conflict_readers_accept_conflict_sets_of_an_equal_instance(reader):
     copy = instance_from_dict(instance_to_dict(inst))
     assert copy is not inst and copy == inst
     assert CONFLICT_READERS[reader](inst, build_conflict_sets(copy)) == CONFLICT_READERS[reader](inst, build_conflict_sets(inst))
+
+
+def test_repair_checks_conflict_sets_of_an_equal_instance_once(monkeypatch):
+    inst = small_instance(8)
+    copy = instance_from_dict(instance_to_dict(inst))
+    own, copied = [1] * inst.n_vars, [1] * inst.n_vars
+    assert repair(inst, build_conflict_sets(inst), own, 1, 11)
+    conflicts = build_conflict_sets(copy)
+    calls = []
+    compare = Instance.__eq__
+    monkeypatch.setattr(Instance, "__eq__", lambda a, b: calls.append(1) or compare(a, b))
+    assert repair(inst, conflicts, copied, 1, 11)
+    assert copied == own and sum(own) < inst.n_vars - 1  # several passes cleared bits
+    assert len(calls) == 1
