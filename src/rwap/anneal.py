@@ -22,11 +22,13 @@ one replica after another.  Inside a segment a model of up to
 ``_LIST_MAX_VARS`` variables runs each replica's stretch alone on Python
 lists, where numpy's per-call cost would dominate arrays this short; a larger
 model steps all replicas together in numpy, one iteration at a time, reading
-a flip's neighbours as a slice of the adjacency.  Each replica records
-its new lows, and merging them in (iteration, energy, replica) order gives
-the best state and trace that a per-iteration minimum over the replicas
-gives.  Python floats are the same doubles as numpy's and every operation
-is the same one, so both paths give bit-identical results.
+a flip's neighbours as a slice of the adjacency.  On lists a replica keeps
+its state for the whole run, and an iteration whose smallest delta is at
+least the largest gate plus the offset skips the scan: no flip can pass.
+Each replica records its new lows, and merging them in (iteration, energy,
+replica) order gives the best state and trace that a per-iteration minimum
+over the replicas gives.  Python floats are the same doubles as numpy's and
+every operation is the same one, so both paths give bit-identical results.
 
 Randomness is organised for reproducibility regardless of host parallelism:
 every replica owns two substreams derived from (seed, replica), one for the
@@ -52,9 +54,9 @@ from .qubo import QuboModel, build_qubo
 # Models of at most this many variables anneal one replica at a time on
 # Python lists; larger ones step all replicas together in numpy.  Measured
 # per replica-iteration on generated models (8 replicas, tempering, rho =
-# beta + 100), the lists take 62-80% of the numpy step's time at 16-24
-# variables, the two paths are within 3% of each other at 28-36, and numpy
-# is 13-16% faster at 40-48.
+# beta + 100, best of 5), the lists take 45-86% of the numpy step's time at
+# 16-24 variables, 77-87% at 28-36 and 92% at 40; the two paths are even at
+# 44-48.
 _LIST_MAX_VARS = 32
 
 
@@ -75,10 +77,10 @@ class AnnealConfig:
             raise ValueError("at least one replica is required")
         if self.exchange_interval < 1:
             raise ValueError("exchange_interval must be positive")
-        if self.t_min <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.t_max is not None and self.t_max < self.t_min:
-            raise ValueError("t_max must be at least t_min")
+        if not 0 < self.t_min < math.inf:  # also refuses NaN
+            raise ValueError("temperatures must be positive and finite")
+        if self.t_max is not None and not self.t_min <= self.t_max < math.inf:
+            raise ValueError("t_max must be finite and at least t_min")
         if self.mode not in ("tempering", "single"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -130,6 +132,8 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     energy = np.full(reps, qubo.constant, dtype=np.int64)
     offset = np.zeros(reps)
     stalled = False  # whether any offset is nonzero (numpy path)
+    if on_lists:  # each replica's state lives in Python lists for the whole run
+        state, delta, energy, offset = state.tolist(), delta.tolist(), energy.tolist(), offset.tolist()
 
     # temperature of each (iteration, replica), a read-only view
     tempering = config.mode == "tempering"
@@ -170,6 +174,8 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                     np.log(u, out=u)
                     np.multiply(u, cold[:, r, None], out=u)
                     choice_streams[r].random(out=choices[r, : len(cold)])
+            if on_lists:  # each row's largest gate, for the stall bound of _stretch
+                tops = thresholds[:, : len(cold)].max(axis=2)
 
         if on_lists:
             # replicas meet only at segment ends, so each runs its stretch
@@ -178,12 +184,10 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             b1 = b0 + t1 - t0
             lows: list[tuple[int, int, int, list[int]]] = []
             for r in range(reps):
-                row, bits = delta[r].tolist(), state[r].tolist()
-                e, off, flips = _stretch(
-                    row, bits, links, thresholds[r, b0:b1].tolist(), choices[r, b0:b1].tolist(),
-                    int(energy[r]), float(offset[r]), increment, best_energy, t0, r, lows,
+                energy[r], offset[r], flips = _stretch(
+                    delta[r], state[r], links, thresholds[r, b0:b1].tolist(), tops[r, b0:b1].tolist(),
+                    choices[r, b0:b1].tolist(), energy[r], offset[r], increment, best_energy, t0, r, lows,
                 )
-                delta[r], state[r], energy[r], offset[r] = row, bits, e, off
                 accepted += flips
                 activations += t1 - t0 - flips
             for t, e, r, bits in sorted(lows):
@@ -237,27 +241,37 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             for k in range(reps - 1):
                 arg = (1.0 / temps[k] - 1.0 / temps[k + 1]) * float(energy[k] - energy[k + 1])
                 if arg >= 0 or draws[k] < math.exp(arg):
+                    # swaps two list items or two numpy rows (numpy copies an overlapping source first)
                     for a in (state, delta, energy):
-                        a[[k, k + 1]] = a[[k + 1, k]]
+                        a[k : k + 2] = a[k : k + 2][::-1]
 
         if __debug__ and t1 % 1024 == 0:
-            assert [qubo.energy(bits) for bits in state] == energy.tolist(), "incremental energy bookkeeping diverged"
+            assert [qubo.energy(bits) for bits in state] == list(energy), "incremental energy bookkeeping diverged"
         t0 = t1
 
     return AnnealResult(tuple(int(b) for b in best_bits), best_energy, tuple(trace), accepted, activations)
 
 
-def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
+def _stretch(row, bits, links, gates, tops, draws, energy, off, increment, low, t0, r, lows):
     """Run replica r alone from iteration t0, one iteration per gate row.
 
     ``row`` (the flip deltas) and ``bits`` are Python lists, updated in
     place.  Each energy below ``low`` and below every earlier one is
     appended to ``lows`` as (iteration, energy, r, bits).  Returns the
     energy, the offset and the number of flips.
+
+    ``tops`` holds each gate row's largest gate.  An iteration whose smallest
+    delta is at least ``top + off`` raises the offset without a scan.  That
+    is exact: rounding is monotone, so ``fl(top + off)`` is at least every
+    ``fl(g[i] + off)``; a gate is never NaN, and ``top + 0.0 == top``.
     """
     span = range(len(row))
     flips = 0
-    for t, (g, c) in enumerate(zip(gates, draws), t0):
+    floor = min(row)
+    for t, (g, top, c) in enumerate(zip(gates, tops, draws), t0):
+        if floor >= top + off:
+            off += increment
+            continue
         if off:
             cand = [i for i in span if row[i] < g[i] + off]
         else:
@@ -279,6 +293,7 @@ def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r,
                 row[j] -= q
         row[pick] = -step
         bits[pick] = b ^ 1
+        floor = min(row)
         off = 0.0
         flips += 1
         if energy < low:

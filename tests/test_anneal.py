@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rwap.anneal import _LIST_MAX_VARS, AnnealConfig, AnnealResult, anneal, repair, solve_rwap_da
@@ -123,6 +125,15 @@ def test_config_validation():
         AnnealConfig(iterations=1, t_min=2.0, t_max=1.0)
     with pytest.raises(ValueError):
         AnnealConfig(iterations=1, mode="hot")
+
+
+@pytest.mark.parametrize("field", ["t_min", "t_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_temperatures(field, value):
+    # a NaN t_max once ran every iteration without a flip, and a NaN or
+    # infinite t_min annealed on NaN temperatures
+    with pytest.raises(ValueError, match="temperatures must be positive and finite|t_max must be finite"):
+        AnnealConfig(iterations=1, **{field: value})
 
 
 def test_solve_hand_example_grants_both(figure1, figure1_conflicts):

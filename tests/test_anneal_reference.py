@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 from rwap.anneal import _LIST_MAX_VARS, AnnealConfig, AnnealResult, _exchange_stream, _replica_stream, anneal
-from rwap.qubo import QuboModel
+from rwap.conflicts import build_conflict_sets
+from rwap.gen import generate, synth_topology
+from rwap.qubo import QuboModel, build_qubo
+from rwap.weights import beta_base
 
 
 def reference_anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
@@ -224,3 +227,45 @@ def test_matches_at_the_scale_refill_blocks(n, replicas, block, mode, iterations
     if iterations > 1000:  # offsets went on and off, and new lows were found
         assert min(result.accepted_flips, result.offset_activations) > iterations * replicas // 10
         assert len(result.trace) > 5
+
+
+# The 13 desk shapes (requests, paths, wavelengths) of at most 14 variables.
+# At rho = beta + 100 every linear term of these models is positive, so at
+# the all-zero start and at other local minima the smallest delta often
+# exceeds the largest gate: the iterations that the stall bound of `_stretch`
+# skips (64-98% of them in these runs).  `_model` draws linear terms in
+# -30..20, where the bound seldom fires.
+DESK_SHAPES = [(rq, p, w) for rq in (1, 2, 3) for p in (1, 2) for w in (1, 2, 3) if rq * 2 * p * w <= 14]
+
+
+def _desk_model(k: int) -> QuboModel:
+    requests, paths, wavelengths = DESK_SHAPES[k]
+    inst = generate(synth_topology(4 + k % 4, 1.2 + 0.1 * (k % 9), k), wavelengths, requests, paths, k)
+    w = beta_base(inst)
+    return build_qubo(inst, build_conflict_sets(inst), w.alpha, w.beta, w.beta + 100)
+
+
+def _positive_model(n: int) -> QuboModel:
+    """Every linear term positive, so the all-zero start has no downhill flip
+    and a cold replica climbs its offset from there."""
+    rng = np.random.default_rng(n)
+    pairs = {(i, j): int(rng.integers(-15, 25)) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return QuboModel(n=n, linear=tuple(rng.integers(5, 60, n).tolist()), quadratic=pairs, constant=0, rho=30, alpha=1, beta=1)
+
+
+# (mode, exchange interval, t_min, t_max): both modes at the default
+# temperatures, exchanging every iteration or every 100; one freezing run,
+# where nearly every iteration stalls and the offset climbs far.
+BOUND_RUNS = [("tempering", 1, 1.0, None), ("tempering", 100, 1.0, None), ("single", 100, 1.0, None), ("tempering", 7, 0.01, 0.01)]
+
+
+@pytest.mark.parametrize("mode, interval, t_min, t_max", BOUND_RUNS)
+@pytest.mark.parametrize("model", [*range(len(DESK_SHAPES)), "positive"])
+def test_matches_where_the_stall_bound_fires(model, mode, interval, t_min, t_max):
+    q = _positive_model(_LIST_MAX_VARS) if model == "positive" else _desk_model(model)
+    assert 0 < q.n <= _LIST_MAX_VARS
+    config = AnnealConfig(1100, 8, t_min=t_min, t_max=t_max, exchange_interval=interval, seed=q.n + interval, mode=mode)
+    result = anneal(q, config)
+    assert result == reference_anneal(q, config)
+    if t_max is not None:  # freezing: most replica-iterations stall, and some still flip
+        assert result.offset_activations > 1100 * 8 // 2 and result.accepted_flips > 0
