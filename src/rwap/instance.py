@@ -446,9 +446,10 @@ def load_instance(path: str) -> Instance:
         raise MalformedDocument(f"{exc}, in {path}") from exc
 
 
-def write_atomic(destination: str, text: str | bytes) -> None:
-    """Write text, or bytes as they are, to destination through a temp file
-    and a rename, so a failed write leaves no partial file behind.  The file
+def write_atomic(destination: str, text: str | bytes | Iterable[bytes]) -> None:
+    """Write text, or bytes as they are, or an iterable's blocks of bytes
+    one by one, to destination through a temp file and a rename, so a failed
+    write (or a failing iterable) leaves no partial file behind.  The file
     gets the mode a plain ``open`` gives a new file: 0o666 less the umask."""
     directory, name = os.path.split(os.path.abspath(destination))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
@@ -457,8 +458,12 @@ def write_atomic(destination: str, text: str | bytes) -> None:
     except OSError as exc:  # name the file the caller asked for, not the temp file
         raise type(exc)(exc.errno, exc.strerror, destination) from None
     try:
-        with os.fdopen(fd, "wb") if isinstance(text, bytes) else os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if isinstance(text, str):
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines([text] if isinstance(text, bytes) else text)
         os.replace(tmp, destination)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,19 +7,20 @@ variables, alpha * length for protection), which keeps files minimal and
 loses nothing.  Named rows are stored as flat columns of Python lists, and
 the base model's conflict-pair rows as the conflict sets' arrays.  The named
 rows' LP text is always formatted as strings.  In a large model the pair
-rows, almost all of a base model's text, are gathered as bytes; in a small
-one they are formatted as strings too.
+rows, almost all of a base model's text, are gathered as bytes in blocks of
+rows, and an export writes each block as it is made; in a small model they
+are formatted as strings too.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
 
-from .bytetext import LP_GATHER_MIN_TERMS, byte_table, decimal_table, squeeze
+from .bytetext import LP_GATHER_MIN_TERMS, byte_table, decimal_table, row_blocks, squeeze
 from .conflicts import ConflictSets, StrongGroups
 from .instance import Instance, WORKING, check_built_for, objective_coefficients, write_atomic
 
@@ -230,28 +231,38 @@ def _lp_by_strings(model: LinearModel) -> str:
     return "".join([*rows, closing])
 
 
-def _lp_by_gather(model: LinearModel) -> bytes:
-    """The LP text as bytes: the named rows formatted as strings, then the
-    pair rows gathered as five byte columns, squeezed in one pass.  Pair row
-    t of a run of class c is its run's head ``" c{c}_"``, the digits of t,
-    the head's end, the first variable's term and the second's with the
-    tail."""
+def _lp_blocks(model: LinearModel) -> Iterator[bytes]:
+    """The LP text as blocks of bytes: the frame's opening and the named
+    rows formatted as strings, then the pair rows gathered as five byte
+    columns in blocks of ``BLOCK_ROWS`` rows, then the frame's closing.
+    Pair row t of a run of class c is its run's head ``" c{c}_"``, the
+    digits of t, the head's end, the first variable's term and the
+    second's with the tail."""
     opening, closing = _lp_frame(model)
-    text = [opening.encode(), _named_rows(model).encode()]
+    yield (opening + _named_rows(model)).encode()
     if model.pair_runs:
         classes, counts = zip(*model.pair_runs)
-        run_of = np.repeat(np.arange(len(counts)), counts)
-        places = np.concatenate([np.arange(rows) for rows in counts])
         heads = byte_table([_NAME_START + _PAIR.format(c, "") for c in classes])
         lead, close = map(byte_table, _pair_terms(model))
-        text.append(squeeze(np.hstack((
-            np.take(heads, run_of, axis=0),
-            decimal_table(places),
-            np.broadcast_to(byte_table([_NAME_END]), (len(run_of), len(_NAME_END))),
-            np.take(lead, model.first, axis=0),
-            np.take(close, model.second, axis=0),
-        ))))
-    return b"".join([*text, closing.encode()])
+        starts = [0, *accumulate(counts)]
+        widths = (heads.itemsize, len(str(max(counts) - 1)), len(_NAME_END), lead.itemsize, close.itemsize)
+        for rows, block, (head, digits, end, first, second) in row_blocks(len(model.first), widths):
+            places = np.arange(rows.start, rows.stop)
+            for k, (run, stop) in enumerate(zip(starts, starts[1:])):
+                at = slice(max(run - rows.start, 0), max(stop - rows.start, 0))  # run k's rows here
+                head[at] = heads[k]
+                places[at] -= run
+            digits[:] = decimal_table(places)  # narrower digits are padded after, and squeezed
+            end[:] = _NAME_END.encode()
+            np.take(lead, model.first[rows], out=first)
+            np.take(close, model.second[rows], out=second)
+            yield squeeze(block)
+    yield closing.encode()
+
+
+def _lp_by_gather(model: LinearModel) -> bytes:
+    """The LP text as bytes, its blocks joined."""
+    return b"".join(_lp_blocks(model))
 
 
 def _gathered(model: LinearModel) -> bool:
@@ -266,13 +277,14 @@ def lp_text(model: LinearModel) -> str:
 
     The frame and the named rows are formatted as strings.  In a model
     with ``LP_GATHER_MIN_TERMS`` (700) matrix entries or more, the pair rows
-    are gathered as bytes from per-variable byte tables (``rwap.bytetext``);
-    in a smaller one each is one f-string.  Both read the same per-field
-    strings.
+    are gathered as bytes from per-variable byte tables, in blocks of
+    ``BLOCK_ROWS`` rows (``rwap.bytetext``); in a smaller one each is one
+    f-string.  Both read the same per-field strings.
     """
     return _lp_by_gather(model).decode() if _gathered(model) else _lp_by_strings(model)
 
 
 def export_lp(model: LinearModel, destination: str) -> None:
-    """Write the LP file atomically (temp file + rename)."""
-    write_atomic(destination, _lp_by_gather(model) if _gathered(model) else _lp_by_strings(model))
+    """Write the LP file atomically (temp file + rename); gathered pair
+    rows are written block by block, never held whole."""
+    write_atomic(destination, _lp_blocks(model) if _gathered(model) else _lp_by_strings(model))

@@ -15,13 +15,13 @@ every infeasible vector strictly above every feasible one.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .bytetext import GATHER_MIN_TERMS, byte_table, codes, squeeze
+from .bytetext import GATHER_MIN_TERMS, byte_table, codes, row_blocks, squeeze
 from .conflicts import ConflictSets
 from .instance import (
     DimensionError,
@@ -297,21 +297,35 @@ def _qubo_by_strings(model: QuboModel) -> str:
     return _HEADER.format(model.n, model.constant) + (2 * _INDEX + _COEFF) * len(columns[0]) % tuple(flat)
 
 
-def _qubo_by_gather(model: QuboModel) -> bytes:
-    """The QUBO text gathered from a table of index fields, one row per
-    variable, and a table of coefficient fields, one row per distinct value."""
+def _qubo_blocks(model: QuboModel) -> Iterator[bytes]:
+    """The QUBO text as blocks of bytes: the header, then the lines in
+    blocks of ``BLOCK_ROWS``, the diagonal lines first.  They are gathered
+    from a table of index fields, one row per variable, and a table of each
+    block's coefficient fields, one row per distinct value, as wide as the
+    model's widest value."""
     linear = np.array(model.linear, dtype=np.int64)
     diagonal = linear.nonzero()[0]
     qi, qj, qv = model.pair_arrays()
-    values, value_of = codes(np.concatenate((linear[diagonal], qv)))
+    yield _HEADER.format(model.n, model.constant).encode()
     indices = byte_table([_INDEX % k for k in range(model.n)], 8)
-    coefficients = byte_table([_COEFF % q for q in values.tolist()], 8)
-    lines = np.hstack((
-        np.take(indices, np.concatenate((diagonal, qi)), axis=0),
-        np.take(indices, np.concatenate((diagonal, qj)), axis=0),
-        np.take(coefficients, value_of, axis=0),
-    ))
-    return _HEADER.format(model.n, model.constant).encode() + squeeze(lines)
+    extremes = (linear.min(initial=0), linear.max(initial=0), qv.min(initial=0), qv.max(initial=0))
+    width = -(-max(len(_COEFF % q) for q in extremes) // 8) * 8
+    d = len(diagonal)
+    for rows, block, (i, j, coeff) in row_blocks(d + len(qv), (indices.itemsize, indices.itemsize, width)):
+        lines, pairs = diagonal[rows], slice(max(rows.start - d, 0), max(rows.stop - d, 0))
+        cut = len(lines)  # the block's diagonal lines, then its pair lines
+        np.take(indices, lines, out=i[:cut])
+        np.take(indices, qi[pairs], out=i[cut:])
+        np.take(indices, lines, out=j[:cut])
+        np.take(indices, qj[pairs], out=j[cut:])
+        values, value_of = codes(np.concatenate((linear[lines], qv[pairs])))
+        np.take(byte_table([_COEFF % q for q in values.tolist()], 8, width), value_of, out=coeff)
+        yield squeeze(block)
+
+
+def _qubo_by_gather(model: QuboModel) -> bytes:
+    """The QUBO text as bytes, its blocks joined."""
+    return b"".join(_qubo_blocks(model))
 
 
 def _gathered(model: QuboModel) -> bool:
@@ -323,11 +337,14 @@ def _gathered(model: QuboModel) -> bool:
 def qubo_text(model: QuboModel) -> str:
     """The sparse QUBO text.  A model with ``GATHER_MIN_TERMS`` (300)
     variables plus pair entries or more is gathered as bytes from a table of
-    index fields and a table of coefficient fields (``rwap.bytetext``); a
-    smaller one is formatted with one format string, which is faster below
-    the measured break-even of about 250-300 entries."""
+    index fields and a table of coefficient fields, in blocks of
+    ``BLOCK_ROWS`` lines (``rwap.bytetext``); a smaller one is formatted
+    with one format string, which is as fast or faster there (the measured
+    break-even is in ``rwap.bytetext``)."""
     return _qubo_by_gather(model).decode() if _gathered(model) else _qubo_by_strings(model)
 
 
 def export_qubo(model: QuboModel, destination: str) -> None:
-    write_atomic(destination, _qubo_by_gather(model) if _gathered(model) else _qubo_by_strings(model))
+    """Write the QUBO file atomically; a gathered one is written block by
+    block, never held whole."""
+    write_atomic(destination, _qubo_blocks(model) if _gathered(model) else _qubo_by_strings(model))
