@@ -18,17 +18,17 @@ at the energy check every 1024 iterations.  The loop therefore walks
 segments, each ending at the next of these or at the last iteration, and
 runs the refill, the exchange and the check at the segment boundaries.  A
 refill draws, logs and scales each replica's rows in place, replica-major,
-one replica after another.  Inside a segment a model of up to
-``_LIST_MAX_VARS`` variables runs each replica's stretch alone on Python
-lists, where numpy's per-call cost would dominate arrays this short; a larger
-model steps all replicas together in numpy, one iteration at a time, reading
-a flip's neighbours as a slice of the adjacency.  On lists a replica keeps
-its state for the whole run, and an iteration whose smallest delta is at
-least the largest gate plus the offset skips the scan: no flip can pass.
-Each replica records its new lows, and merging them in (iteration, energy,
+one replica after another.  Inside a segment each replica runs its stretch
+alone, on one of two kernels: a model of up to ``_LIST_MAX_VARS`` variables
+on Python lists (``_stretch``), where numpy's per-call cost would dominate
+arrays this short, a larger one on numpy rows (``_stretch_np``), reading a
+flip's neighbours as a slice of the adjacency.  On lists a replica keeps its
+state for the whole run, and an iteration whose smallest delta is at least
+the largest gate plus the offset skips the scan: no flip can pass.  Each
+replica records its new lows, and merging them in (iteration, energy,
 replica) order gives the best state and trace that a per-iteration minimum
 over the replicas gives.  Python floats are the same doubles as numpy's and
-every operation is the same one, so both paths give bit-identical results.
+every operation is the same one, so both kernels give bit-identical results.
 
 Randomness is organised for reproducibility regardless of host parallelism:
 every replica owns two substreams derived from (seed, replica), one for the
@@ -51,12 +51,12 @@ from .instance import Instance, Solution, SolveReport, check_built_for, make_rep
 from .instance import penalty_terms_unchecked
 from .qubo import QuboModel, build_qubo
 
-# Models of at most this many variables anneal one replica at a time on
-# Python lists; larger ones step all replicas together in numpy.  Measured
-# per replica-iteration on generated models (8 replicas, tempering, rho =
-# beta + 100, best of 5), the lists take 45-86% of the numpy step's time at
-# 16-24 variables, 77-87% at 28-36 and 92% at 40; the two paths are even at
-# 44-48.
+# Models of at most this many variables anneal on the list kernel, larger
+# ones on the numpy kernel; both run one replica at a time.  Measured per
+# replica-iteration on generated models (8 replicas, tempering, rho = beta +
+# 100, best of 5) against the numpy step that stepped all replicas together,
+# the lists took 45-86% of its time at 16-24 variables, 77-87% at 28-36 and
+# 92% at 40; the two were even at 44-48.
 _LIST_MAX_VARS = 32
 
 
@@ -113,27 +113,23 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     increment = max(qubo.rho / 100.0, 1.0)
 
     indptr, indices, data = qubo.adjacency()
-    on_lists = n <= _LIST_MAX_VARS
-    if on_lists:
-        # per variable: its (neighbour, coupling) pairs as Python numbers
-        cols, qs = indices.tolist(), data.astype(np.float64).tolist()
-        links = [list(zip(cols[a:b], qs[a:b])) for a, b in pairwise(indptr.tolist())]
-    else:
-        # variable i's neighbours and couplings q are the slice
-        # starts[i]:starts[i + 1] of indices and data; anti holds -q
-        starts, anti = indptr.tolist(), -data
-        sums = np.empty((reps, n))
-        candidates = np.empty((reps, n), dtype=bool)
-
     state = np.zeros((reps, n), dtype=np.int8)
     # all-zero start: delta_i = linear_i; kept in float64 (exact for these
     # magnitudes) so the acceptance comparison avoids per-iteration upcasts
     delta = np.tile(np.array(qubo.linear, dtype=np.float64), (reps, 1))
-    energy = np.full(reps, qubo.constant, dtype=np.int64)
-    offset = np.zeros(reps)
-    stalled = False  # whether any offset is nonzero (numpy path)
-    if on_lists:  # each replica's state lives in Python lists for the whole run
-        state, delta, energy, offset = state.tolist(), delta.tolist(), energy.tolist(), offset.tolist()
+    on_lists = n <= _LIST_MAX_VARS
+    if on_lists:
+        # each replica's state lives in Python lists for the whole run;
+        # per variable: its (neighbour, coupling) pairs as Python numbers
+        state, delta = state.tolist(), delta.tolist()
+        cols, qs = indices.tolist(), data.astype(np.float64).tolist()
+        links = [list(zip(cols[a:b], qs[a:b])) for a, b in pairwise(indptr.tolist())]
+    else:
+        # variable i's neighbours and couplings q are the slice
+        # indptr[i]:indptr[i + 1] of indices and data; the last holds -q
+        links = (indptr.tolist(), indices, data, -data)
+    energy = [int(qubo.constant)] * reps
+    offset = [0.0] * reps
 
     # temperature of each (iteration, replica), a read-only view
     tempering = config.mode == "tempering"
@@ -177,63 +173,25 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             if on_lists:  # each row's largest gate, for the stall bound of _stretch
                 tops = thresholds[:, : len(cold)].max(axis=2)
 
-        if on_lists:
-            # replicas meet only at segment ends, so each runs its stretch
-            # alone; their new lows merge in (iteration, energy, replica)
-            # order, as the per-iteration argmin would have taken them
-            b1 = b0 + t1 - t0
-            lows: list[tuple[int, int, int, list[int]]] = []
-            for r in range(reps):
-                energy[r], offset[r], flips = _stretch(
-                    delta[r], state[r], links, thresholds[r, b0:b1].tolist(), tops[r, b0:b1].tolist(),
-                    choices[r, b0:b1].tolist(), energy[r], offset[r], increment, best_energy, t0, r, lows,
-                )
-                accepted += flips
-                activations += t1 - t0 - flips
-            for t, e, r, bits in sorted(lows):
-                if e < best_energy:
-                    best_energy, best_bits = e, bits
-                    trace.append((t + 1, e))
-        else:
-            for t in range(t0, t1):
-                bt = t % block
-                # offsets are zero unless a replica stalled last iteration, and
-                # thresholds are never -0.0 or NaN, so adding a zero offset is a no-op
-                gate = np.add(thresholds[:, bt], offset[:, None], out=sums) if stalled else thresholds[:, bt]
-                np.less(delta, gate, out=candidates)
-
-                # replicas without a candidate raise their offset; the others take
-                # candidate floor(choice * m) of their m candidates
-                live = candidates.any(axis=1)
-                active = live.nonzero()[0].tolist()
-                stalled = len(active) < reps
-                if stalled:
-                    offset[~live] += increment
-                    activations += reps - len(active)
-                for r in active:
-                    idx = candidates[r].nonzero()[0]
-                    m = len(idx)
-                    pick = int(idx[min(int(choices[r, bt] * m), m - 1)])
-                    row, bits = delta[r], state[r]
-                    step = row[pick]
-                    energy[r] += int(step)
-                    lo, hi = starts[pick], starts[pick + 1]
-                    nb = indices[lo:hi]
-                    # a neighbour's delta moves by +q if its bit equals the flipped
-                    # bit before the flip, else by -q
-                    up, down = (anti[lo:hi], data[lo:hi]) if bits[pick] else (data[lo:hi], anti[lo:hi])
-                    row[nb] += np.where(bits[nb], down, up)
-                    row[pick] = -step
-                    bits[pick] ^= 1
-                    offset[r] = 0.0
-                accepted += len(active)
-
-                if active:
-                    r_min = int(energy.argmin())
-                    if energy[r_min] < best_energy:
-                        best_energy = int(energy[r_min])
-                        best_bits = state[r_min].copy()
-                        trace.append((t + 1, best_energy))
+        # replicas meet only at segment ends, so each runs its stretch alone;
+        # their new lows merge in (iteration, energy, replica) order, as a
+        # per-iteration minimum over the replicas would have taken them
+        b1 = b0 + t1 - t0
+        lows: list[tuple[int, int, int, list[int] | np.ndarray]] = []
+        for r in range(reps):
+            gates = thresholds[r, b0:b1]
+            tail = (choices[r, b0:b1].tolist(), energy[r], offset[r], increment, best_energy, t0, r, lows)
+            if on_lists:
+                run = _stretch(delta[r], state[r], links, gates.tolist(), tops[r, b0:b1].tolist(), *tail)
+            else:
+                run = _stretch_np(delta[r], state[r], links, gates, *tail)
+            energy[r], offset[r], flips = run
+            accepted += flips
+            activations += t1 - t0 - flips
+        for t, e, r, bits in sorted(lows):  # (t, r) is unique, so bits are never compared
+            if e < best_energy:
+                best_energy, best_bits = e, bits
+                trace.append((t + 1, e))
 
         if exchanging and t1 % config.exchange_interval == 0:
             draws = _exchange_stream(config.seed, exchange_round).random(reps - 1)
@@ -246,7 +204,7 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
                         a[k : k + 2] = a[k : k + 2][::-1]
 
         if __debug__ and t1 % 1024 == 0:
-            assert [qubo.energy(bits) for bits in state] == list(energy), "incremental energy bookkeeping diverged"
+            assert [qubo.energy(bits) for bits in state] == energy, "incremental energy bookkeeping diverged"
         t0 = t1
 
     return AnnealResult(tuple(int(b) for b in best_bits), best_energy, tuple(trace), accepted, activations)
@@ -301,6 +259,36 @@ def _stretch(row, bits, links, gates, tops, draws, energy, off, increment, low, 
             lows.append((t, energy, r, bits.copy()))
     return energy, off, flips
 
+
+def _stretch_np(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
+    """The numpy twin of ``_stretch``: ``row`` and ``bits`` are numpy rows,
+    and ``links`` is (indptr as a list, indices, data, -data)."""
+    starts, indices, data, anti = links
+    flips = 0
+    for t, (g, c) in enumerate(zip(gates, draws), t0):
+        # gates are never -0.0 or NaN, so adding a zero offset is a no-op
+        cand = np.less(row, g + off if off else g).nonzero()[0]
+        m = len(cand)
+        if not m:
+            off += increment
+            continue
+        pick = int(cand[min(int(c * m), m - 1)])
+        step = row[pick]
+        energy += int(step)
+        lo, hi = starts[pick], starts[pick + 1]
+        nb = indices[lo:hi]
+        # a neighbour's delta moves by +q if its bit equals the flipped bit
+        # before the flip, else by -q
+        up, down = (anti[lo:hi], data[lo:hi]) if bits[pick] else (data[lo:hi], anti[lo:hi])
+        row[nb] += np.where(bits[nb], down, up)
+        row[pick] = -step
+        bits[pick] ^= 1
+        off = 0.0
+        flips += 1
+        if energy < low:
+            low = energy
+            lows.append((t, energy, r, bits.copy()))
+    return energy, off, flips
 
 def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alpha: int, beta: int) -> bool:
     """Greedily clear bits involved in violations, cheapest damage first.

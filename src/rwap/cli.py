@@ -49,8 +49,13 @@ def _print_data(data: dict, fmt: str) -> None:
 
 def _cmd_gen(args) -> int:
     if args.topology.startswith("synth:"):
-        nodes_s, deg_s = args.topology[len("synth:"):].split(",")
-        topo = synth_topology(int(nodes_s), float(deg_s), seed=args.seed)
+        # a missing or extra field leaves the degree empty or holding a comma
+        nodes, _, degree = args.topology[len("synth:"):].partition(",")
+        try:
+            shape = int(nodes), float(degree)
+        except ValueError:
+            raise ValueError(f"topology {args.topology!r}: expected synth:<nodes>,<avg_out_degree>") from None
+        topo = synth_topology(*shape, seed=args.seed)
     else:
         # either a bare {nodes, links} document or a full instance file
         topo = network_from_dict(read_json(args.topology))
@@ -120,6 +125,8 @@ def _cmd_export_qubo(args) -> int:
 
 def _cmd_solve(args) -> int:
     _check_budgets(args, [args.method])
+    if args.trace and args.method != "da":
+        args.usage_error(f"argument --trace: only the da method writes a trace, not {args.method}")
     inst = load_instance(args.instance)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
     report, result = bench_mod.solve(

@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +46,20 @@ def test_the_energy_check_reads_the_model_energy(monkeypatch):
     for q in models:
         with pytest.raises(AssertionError, match="incremental energy bookkeeping diverged"):
             anneal(q, AnnealConfig(iterations=1024, seed=0))
+
+
+def _past_the_energy_check():
+    """One list-path and one numpy-path run past the check at 1024 iterations."""
+    config = AnnealConfig(iterations=1100, replicas=3, exchange_interval=50, seed=4)
+    return [anneal(q, config) for q in (_tight_qubo()[1], _above_the_list_cutoff(rho=115))]
+
+
+def test_results_do_not_depend_on_the_energy_check():
+    # python -O skips the check, but segments still end at 1024
+    script = "import pickle, sys, test_anneal as t; sys.stdout.buffer.write(pickle.dumps(t._past_the_energy_check()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, check=True)
+    assert pickle.loads(run.stdout) == _past_the_energy_check()
 
 
 def test_zero_model_immediate():

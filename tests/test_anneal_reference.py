@@ -1,13 +1,15 @@
 """The segmented annealer against the iteration-major loop it replaced.
 
 Replicas meet only at refills, exchanges and energy checks, so `anneal`
-runs each segment between them one replica at a time, on Python lists for
-small models.  An off-by-one at a segment end, or a wrong order when the
-replicas' new lows are merged, would still pass every statistical test;
-this module asserts that every `AnnealResult` field is equal to the old
-loop's, across models on both sides of `_LIST_MAX_VARS`, both modes,
-several replica counts and exchange intervals, and iteration counts at
-and around the refill block (256 here) and the check interval (1024).
+runs each segment between them one replica at a time, under one driver
+with two per-replica kernels: Python lists up to `_LIST_MAX_VARS`
+variables, numpy rows above.  An off-by-one at a segment end, or a wrong
+order when the replicas' new lows are merged, would still pass every
+statistical test; this module asserts that every `AnnealResult` field of
+either kernel is equal to the old loop's, across models on both sides of
+`_LIST_MAX_VARS`, both modes, several replica counts and exchange
+intervals, and iteration counts at and around the refill block (256 here)
+and the check interval (1024).
 """
 
 import math

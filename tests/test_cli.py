@@ -70,6 +70,14 @@ def _error_line(capsys) -> str:
     return captured.err
 
 
+@pytest.mark.parametrize("spec", ["synth:10", "synth:10,1.5,3", "synth:ten,1.5", "synth:10,"])
+def test_gen_names_the_synth_form_on_a_malformed_spec(tmp_path, capsys, spec):
+    argv = ["gen", "--topology", spec, "--wavelengths", "1", "--requests", "1", "--paths", "1"]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert _error_line(capsys) == f"error: topology {spec!r}: expected synth:<nodes>,<avg_out_degree>\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("doc", [{"nodes": 3}, {"links": [[0, 1]]}, [1, 2]])
 def test_gen_rejects_a_malformed_topology_file(tmp_path, capsys, doc):
     topology = tmp_path / "topology.json"
@@ -277,6 +285,18 @@ def test_solve_trace_written(inst_path, tmp_path):
     assert lines[0] == "iteration,best_energy"
     energies = [int(line.split(",")[1]) for line in lines[1:]]
     assert energies == sorted(energies, reverse=True)
+
+
+@pytest.mark.parametrize("method", ["rs", "bnb", "exact"])
+def test_trace_is_refused_for_a_method_without_one(inst_path, tmp_path, capsys, method):
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", inst_path, "--method", method, "--trace", str(trace)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not trace.exists()
+    message = f"argument --trace: only the da method writes a trace, not {method}"
+    assert captured.err.endswith(f"rwap solve: error: {message}\n")
 
 
 def test_verify_command(inst_path, tmp_path, capsys):
