@@ -52,11 +52,11 @@ from .instance import penalty_terms_unchecked
 from .qubo import QuboModel, build_qubo
 
 # Models of at most this many variables anneal on the list kernel, larger
-# ones on the numpy kernel; both run one replica at a time.  Measured per
-# replica-iteration on generated models (8 replicas, tempering, rho = beta +
-# 100, best of 5) against the numpy step that stepped all replicas together,
-# the lists took 45-86% of its time at 16-24 variables, 77-87% at 28-36 and
-# 92% at 40; the two were even at 44-48.
+# ones on the numpy kernel; both run one replica at a time and give
+# bit-identical results.  Measured per replica-iteration of a whole anneal on
+# generated models (8 replicas, tempering, rho = beta + 100, best of 5, two
+# runs), the list kernel took 55-66% of the numpy kernel's time at 16-24
+# variables, 71-86% at 28-36 and 88-98% at 40-44; the two were even at 48.
 _LIST_MAX_VARS = 32
 
 

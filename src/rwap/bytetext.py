@@ -21,15 +21,14 @@ rows (medians of 15, interleaved, 2-core x86-64 VM), the base LP took 45.0,
 and 23.6 ms: 2^14 and 2^15 tie, and the larger makes half the numpy calls.
 
 The per-call numpy costs make this slower than plain string formatting on
-small models.  Over generated models (2-core x86-64 VM, best of 5 x 50
-calls), a gathered QUBO took 1.02-1.03x the formatted time at 285-306
-entries, 0.90x at 378 and 0.83x at 399.  The LP gathers only a base model's
-pair rows and formats its named rows either way; it took 1.03x, 0.97x and
-0.93x at 618, 636 and 732 matrix entries.  A QUBO with fewer than
-``GATHER_MIN_TERMS`` entries and an LP with fewer than
-``LP_GATHER_MIN_TERMS`` are formatted as strings.  The QUBO cutoff was set
-before the blocks, which add about 9 us per call, and now sits a little
-below the break-even.
+small models.  Over 31 generated models of 232-426 entries (2-core x86-64
+VM, best of 5 x 50 calls, blocks included), a gathered QUBO took 1.05-2.16x
+the formatted time below 290 entries, 0.95-1.13x at 292-339 and 0.79-0.98x
+from 364 on.  The LP gathers only a base model's pair rows and formats its
+named rows either way; it took 1.03x, 0.97x and 0.93x at 618, 636 and 732
+matrix entries.  A QUBO with fewer than ``GATHER_MIN_TERMS`` entries and an
+LP with fewer than ``LP_GATHER_MIN_TERMS`` are formatted as strings, so the
+QUBO cutoff sits at the low end of its 300-360-entry break-even band.
 """
 
 from __future__ import annotations

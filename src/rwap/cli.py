@@ -172,11 +172,18 @@ def _cmd_reduce_mss(args) -> int:
     return 0
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"argument {option}: expected comma-separated integers, got {text!r}") from None
+
+
 def _cmd_bench(args) -> int:
     methods = args.methods.split(",")
     _check_budgets(args, methods)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
-    sweep = [int(s) for s in args.rho_sweep.split(",")] if args.rho_sweep else [None]
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else [0]
+    sweep = _int_list("--rho-sweep", args.rho_sweep) if args.rho_sweep else [None]
     instances = [(path, load_instance(path)) for path in args.instances]
     tasks = [
         bench_mod.BenchTask(

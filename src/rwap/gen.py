@@ -105,6 +105,8 @@ def synth_topology(node_count: int, avg_out_degree: float, seed: int) -> Network
     """
     if node_count < 1:
         raise TopologyError("need at least one node")
+    if np.isnan(avg_out_degree):  # NaN would pass every range check below
+        raise TopologyError(f"average out-degree {avg_out_degree} is not a number")
     if avg_out_degree * node_count > node_count * (node_count - 1):
         raise TopologyError("requested density exceeds the feasible maximum")
     target = round(node_count * avg_out_degree)

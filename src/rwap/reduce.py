@@ -1,13 +1,15 @@
 """Stable-set reduction: build an instance whose maximum number of
 simultaneously grantable requests equals the maximum stable set of a graph.
 
-One request is created per graph node, with a single two-link working and a
-single two-link protection lightpath, all on one wavelength and initially
-link-disjoint.  For every graph edge, four conflict pairs are forced (both
-working/protection orientations, the working pair, and the protection pair)
-by rewiring: the host lightpath of the pair is extended by one fresh link
-and the other lightpath is re-routed through it, so each conflicting pair
-shares exactly one link and all other lightpaths are untouched.
+One request is created per graph node v, from network node 2v to 2v + 1,
+with one working and one protection lightpath, all on one wavelength.  For
+every graph edge, four conflict pairs are forced (both working/protection
+orientations, the working pair, and the protection pair), and each forced
+pair gets one fresh link between two fresh nodes.  Each lightpath runs
+through the links of its forced pairs in that order, joined by connector
+links of its own, so each conflicting pair shares exactly one link, a
+request's two lightpaths share none, and no lightpath visits a node twice.
+The network has 2|V| + 8|E| nodes and 2|V| + 12|E| links.
 """
 
 from __future__ import annotations
@@ -55,90 +57,50 @@ def graph_from_dict(data: dict) -> MssGraph:
     return MssGraph(node_count=nodes, edges=edges)
 
 
-class _Builder:
-    def __init__(self, requests: int):
-        self.next_node = 0
-        self.next_link = 0
-        self.links: dict[int, tuple[int, int]] = {}
-        self.paths: dict[tuple[int, int], list[int]] = {}
-        self.endpoints: list[tuple[int, int]] = []
-        for r in range(requests):
-            s, t, u1, v1 = (self.new_node() for _ in range(4))
-            self.endpoints.append((s, t))
-            self.paths[(r, WORKING)] = [self.add_link(s, u1), self.add_link(u1, t)]
-            self.paths[(r, PROTECTION)] = [self.add_link(s, v1), self.add_link(v1, t)]
-
-    def new_node(self) -> int:
-        self.next_node += 1
-        return self.next_node - 1
-
-    def add_link(self, tail: int, head: int) -> int:
-        self.links[self.next_link] = (tail, head)
-        self.next_link += 1
-        return self.next_link - 1
-
-    def rewire(self, host: tuple[int, int], other: tuple[int, int]) -> int:
-        """Extend the host by one fresh link and route the other through it;
-        returns the shared link id."""
-        host_path = self.paths[host]
-        last = host_path.pop()
-        q, t_host = self.links.pop(last)
-        z = self.new_node()
-        shared = self.add_link(q, z)
-        host_path += [shared, self.add_link(z, t_host)]
-
-        other_path = self.paths[other]
-        last_o = other_path.pop()
-        q2, t_other = self.links.pop(last_o)
-        z2 = self.new_node()
-        other_path += [self.add_link(q2, q), shared, self.add_link(z, z2), self.add_link(z2, t_other)]
-        return shared
-
-
 def mss_to_rwap(graph: MssGraph) -> Instance:
     """Reduce a stable-set instance to a request-granting instance."""
-    builder = _Builder(graph.node_count)
-    shared_by_pair: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    # canonical tuple order: edges sorted, then both working/protection
+    n = graph.node_count
+    # canonical pair order: edges sorted, then both working/protection
     # orientations, the working pair, the protection pair
+    pairs = []
     for (a, b) in sorted(graph.edges):
-        for pair in (
-            ((a, WORKING), (b, PROTECTION)),
-            ((b, WORKING), (a, PROTECTION)),
-            ((a, WORKING), (b, WORKING)),
-            ((a, PROTECTION), (b, PROTECTION)),
-        ):
-            # host rule: lexicographically smaller (request, kind) end
-            host, other = sorted(pair)
-            shared_by_pair[pair] = builder.rewire(host, other)
+        pairs += [((a, WORKING), (b, PROTECTION)), ((b, WORKING), (a, PROTECTION))]
+        pairs += [((a, WORKING), (b, WORKING)), ((a, PROTECTION), (b, PROTECTION))]
+    # forced pair i owns link i, from node 2n + 2i to node 2n + 2i + 1
+    links = [(2 * n + 2 * i, 2 * n + 2 * i + 1) for i in range(len(pairs))]
+    forced: dict[tuple[int, int], list[int]] = {(r, k): [] for r in range(n) for k in (WORKING, PROTECTION)}
+    for i, pair in enumerate(pairs):
+        for end in pair:
+            forced[end].append(i)
+    # each lightpath runs from node 2r through its forced links, in pair
+    # order, to node 2r + 1, joined by connector links of its own
+    paths: dict[tuple[int, int], Lightpath] = {}
+    for (r, kind), shared in forced.items():
+        at, path = 2 * r, []
+        for i in shared:
+            path += [len(links), i]
+            links.append((at, links[i][0]))
+            at = links[i][1]
+        path.append(len(links))
+        links.append((at, 2 * r + 1))
+        paths[r, kind] = Lightpath(links=tuple(path), wavelength=0)
 
-    # compact link ids in creation order
-    remap = {old: new for new, old in enumerate(sorted(builder.links))}
-    net = Network(
-        node_count=builder.next_node,
-        links=tuple(builder.links[old] for old in sorted(builder.links)),
-    )
-    requests = []
-    for r in range(graph.node_count):
-        s, t = builder.endpoints[r]
-        working = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, WORKING)]), wavelength=0)
-        protection = Lightpath(links=tuple(remap[e] for e in builder.paths[(r, PROTECTION)]), wavelength=0)
-        requests.append(Request(id=r, source=s, destination=t, working=(working,), protection=(protection,)))
-    instance = Instance(network=net, wavelength_count=1, requests=tuple(requests))
-
-    # every forced pair shares exactly the one fresh link, and each request's
-    # own lightpaths stay disjoint
-    for ((ra, ka), (rb, kb)), shared in shared_by_pair.items():
-        pa = set(remap[e] for e in builder.paths[(ra, ka)])
-        pb = set(remap[e] for e in builder.paths[(rb, kb)])
-        if pa & pb != {remap[shared]}:
+    # every forced pair shares exactly its own link, and each request's own
+    # lightpaths stay disjoint
+    for i, (a, b) in enumerate(pairs):
+        if set(paths[a].links) & set(paths[b].links) != {i}:
             raise AssertionError("reduction produced a malformed conflict pair")
-    for r in range(graph.node_count):
-        w = set(builder.paths[(r, WORKING)])
-        p = set(builder.paths[(r, PROTECTION)])
-        if w & p:
+    for r in range(n):
+        if set(paths[r, WORKING].links) & set(paths[r, PROTECTION].links):
             raise AssertionError("reduction broke a request's link-disjointness")
-    return instance
+    requests = tuple(
+        Request(
+            id=r, source=2 * r, destination=2 * r + 1, working=(paths[r, WORKING],), protection=(paths[r, PROTECTION],)
+        )
+        for r in range(n)
+    )
+    net = Network(node_count=2 * n + 2 * len(pairs), links=tuple(links))
+    return Instance(network=net, wavelength_count=1, requests=requests)
 
 
 def max_requests_only(instance: Instance, node_limit: int | None = None) -> SolveReport:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
@@ -149,25 +150,11 @@ def tight_example(l_a: int, l_b: int) -> Instance:
     necessary on this family."""
     if l_a < 1 or l_b < 1:
         raise ValueError("path lengths must be at least 1")
-    source, dest = 0, 1
-    links: list[tuple[int, int]] = []
-    next_node = 2
-
-    def chain(length: int) -> tuple[int, ...]:
-        nonlocal next_node
-        ids = []
-        at = source
-        for step in range(length):
-            nxt = dest if step == length - 1 else next_node
-            if nxt == next_node:
-                next_node += 1
-            links.append((at, nxt))
-            ids.append(len(links) - 1)
-            at = nxt
-        return tuple(ids)
-
-    working = Lightpath(links=chain(l_a), wavelength=0)
-    protection = Lightpath(links=chain(l_b), wavelength=0)
-    net = Network(node_count=next_node, links=tuple(links))
-    req = Request(id=0, source=source, destination=dest, working=(working,), protection=(protection,))
+    # node lists from source 0 to destination 1, sharing no other node
+    working_nodes = [0, *range(2, l_a + 1), 1]
+    protection_nodes = [0, *range(l_a + 1, l_a + l_b), 1]
+    net = Network(node_count=l_a + l_b, links=(*pairwise(working_nodes), *pairwise(protection_nodes)))
+    working = Lightpath(links=tuple(range(l_a)), wavelength=0)
+    protection = Lightpath(links=tuple(range(l_a, l_a + l_b)), wavelength=0)
+    req = Request(id=0, source=0, destination=1, working=(working,), protection=(protection,))
     return Instance(network=net, wavelength_count=1, requests=(req,))

@@ -78,6 +78,13 @@ def test_gen_names_the_synth_form_on_a_malformed_spec(tmp_path, capsys, spec):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_gen_names_a_nan_degree(tmp_path, capsys):
+    argv = ["gen", "--topology", "synth:10,nan", "--wavelengths", "1", "--requests", "1", "--paths", "1"]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert _error_line(capsys) == "error: average out-degree nan is not a number\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("doc", [{"nodes": 3}, {"links": [[0, 1]]}, [1, 2]])
 def test_gen_rejects_a_malformed_topology_file(tmp_path, capsys, doc):
     topology = tmp_path / "topology.json"
@@ -408,6 +415,13 @@ def test_bench_row_matches_solve(tmp_path, capsys, method):
     assert row["error"] == "" and solved["f_beta"] > 0
     expected = [str(int(solved[k])) for k in ("f_beta", "f_alpha", "objective", "feasible", "repaired")]
     assert [row[k] for k in ("granted", "links", "objective", "feasible", "repaired")] == expected
+
+
+@pytest.mark.parametrize("option", ["--seeds", "--rho-sweep"])
+@pytest.mark.parametrize("value", ["1,x", "1,", "1.5"])
+def test_bench_names_a_malformed_integer_list(inst_path, capsys, option, value):
+    assert main(["bench", inst_path, "--methods", "da", option, value]) == 2
+    assert _error_line(capsys) == f"error: argument {option}: expected comma-separated integers, got {value!r}\n"
 
 
 def test_bench_records_an_unknown_method(inst_path, capsys):

@@ -65,6 +65,11 @@ def test_synth_topology_density_errors():
         synth_topology(6, 0.2, seed=0)  # below the connectivity minimum
 
 
+def test_synth_topology_refuses_a_nan_degree():
+    with pytest.raises(TopologyError, match="average out-degree nan"):
+        synth_topology(10, float("nan"), seed=0)
+
+
 def test_k_shortest_paths_orders_by_length():
     # diamond with a direct long chain: 0->1->3, 0->2->3, 0->3
     net = Network(node_count=4, links=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)))

@@ -74,6 +74,24 @@ def test_conflicting_pairs_share_exactly_one_link():
         assert {(min(a, b), max(a, b)) for (a, b, _, _) in cs.c2} == set(edges)
 
 
+def test_lightpaths_are_simple_and_the_network_polynomial():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        nodes, edges = random_graph(rng, max_nodes=8)
+        inst = mss_to_rwap(MssGraph(node_count=nodes, edges=edges))
+        assert inst.network.node_count == 2 * nodes + 8 * len(edges)
+        assert inst.network.link_count == 2 * nodes + 12 * len(edges)
+        for req in inst.requests:
+            for lp in req.working + req.protection:
+                hops = [inst.network.links[e] for e in lp.links]
+                stops = [req.source] + [head for (_, head) in hops]
+                # consecutive links meet, the path ends at the destination
+                # and visits no node twice
+                assert [tail for (tail, _) in hops] == stops[:-1]
+                assert stops[-1] == req.destination
+                assert len(set(stops)) == len(stops)
+
+
 @pytest.mark.parametrize("trial", range(10))
 def test_equivalence_with_stable_set(trial):
     rng = np.random.default_rng(100 + trial)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rwap.conflicts import build_conflict_sets
-from rwap.instance import Instance, Lightpath, Network, Request
+from rwap.instance import Instance, Lightpath, Network, Request, instance_to_dict
 from rwap.weights import (
     UndefinedWeightError,
     _level_extremes,
@@ -84,6 +84,24 @@ def test_tight_example_shapes():
     assert inst.n_vars == 2
     assert build_conflict_sets(inst).pair_count == 0
     assert compute_omega(tight_example(4, 7)).beta_tight == 12  # lengths sum plus one
+
+
+def _chain_doc(nodes: int, links: list[list[int]], l_a: int) -> dict:
+    working = {"links": list(range(l_a)), "wavelength": 0}
+    protection = {"links": list(range(l_a, len(links))), "wavelength": 0}
+    request = {"source": 0, "dest": 1, "working": [working], "protection": [protection]}
+    return {"nodes": nodes, "links": links, "wavelengths": 1, "requests": [request]}
+
+
+@pytest.mark.parametrize("shape, doc", [
+    ((1, 1), _chain_doc(2, [[0, 1], [0, 1]], 1)),
+    ((2, 3), _chain_doc(5, [[0, 2], [2, 1], [0, 3], [3, 4], [4, 1]], 2)),
+    ((4, 7), _chain_doc(
+        11, [[0, 2], [2, 3], [3, 4], [4, 1], [0, 5], [5, 6], [6, 7], [7, 8], [8, 9], [9, 10], [10, 1]], 4
+    )),
+])
+def test_tight_example_documents(shape, doc):
+    assert instance_to_dict(tight_example(*shape)) == doc
 
 
 def test_check_prioritization_tight_example():
