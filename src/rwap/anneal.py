@@ -13,22 +13,21 @@ and never exchanges.  Both modes read one temperature table indexed by
 (iteration, replica): the ladder repeated for every iteration, or the
 cooling curve repeated for every replica.
 
-Replicas interact only at a refill of the random block, at an exchange and
-at the energy check every 1024 iterations.  The loop therefore walks
-segments, each ending at the next of these or at the last iteration, and
-runs the refill, the exchange and the check at the segment boundaries.  A
-refill draws, logs and scales each replica's rows in place, replica-major,
-one replica after another.  Inside a segment each replica runs its stretch
-alone, on one of two kernels: a model of up to ``_LIST_MAX_VARS`` variables
-on Python lists (``_stretch``), where numpy's per-call cost would dominate
-arrays this short, a larger one on numpy rows (``_stretch_np``), reading a
-flip's neighbours as a slice of the adjacency.  On lists a replica keeps its
-state for the whole run, and an iteration whose smallest delta is at least
-the largest gate plus the offset skips the scan: no flip can pass.  Each
-replica records its new lows, and merging them in (iteration, energy,
-replica) order gives the best state and trace that a per-iteration minimum
-over the replicas gives.  Python floats are the same doubles as numpy's and
-every operation is the same one, so both kernels give bit-identical results.
+Replicas meet only at exchanges and at the energy check every 1024
+iterations.  The loop therefore walks segments, each ending at the next of
+these, at a length cap or at the last iteration.  Inside a segment each
+replica runs alone: it draws, logs and scales its own gate rows into one
+reused scratch block, takes its choice draws and runs its stretch on one of
+two kernels.  A model of up to ``_LIST_MAX_VARS`` variables runs on Python
+lists (``_stretch``), where numpy's per-call cost would dominate arrays this
+short, a larger one on numpy rows (``_stretch_np``), reading a flip's
+neighbours as a slice of the adjacency.  On lists a replica keeps its state
+for the whole run, and an iteration whose smallest delta is at least the
+largest gate plus the offset skips the scan: no flip can pass.  Each replica
+records its new lows, and merging them in (iteration, energy, replica) order
+gives the best state and trace that a per-iteration minimum over the replicas
+gives.  Python floats are the same doubles as numpy's and every operation is
+the same one, so both kernels give bit-identical results.
 
 Randomness is organised for reproducibility regardless of host parallelism:
 every replica owns two substreams derived from (seed, replica), one for the
@@ -139,12 +138,12 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
 
     flip_streams = [_replica_stream(config.seed, r, 0) for r in range(reps)]
     choice_streams = [_replica_stream(config.seed, r, 1) for r in range(reps)]
+    kernel = _stretch if on_lists else _stretch_np
 
-    # iterations per refill, sized so thresholds stay in a core's cache;
-    # each stream is read in order, so the size does not change results
-    block = max(8, min(256, 200_000 // max(n * reps, 1)))
-    thresholds = np.empty((reps, block, n))  # replica-major: a replica's rows are contiguous
-    choices = np.empty((reps, block))
+    # the longest segment, sized so a replica's gate rows stay in a core's
+    # cache; each stream is read in order, so the cap does not change results
+    cap = max(8, min(256, 200_000 // max(n * reps, 1)))
+    scratch = np.empty((cap, n))  # one replica's gate rows, reused by all
 
     best_energy = int(qubo.constant)
     best_bits = state[0].copy()
@@ -155,39 +154,27 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
 
     t0 = 0
     while t0 < iters:
-        # a segment runs to the next refill, exchange, energy check or the end
-        b0 = t0 % block
-        t1 = min(t0 - b0 + block, (t0 // 1024 + 1) * 1024, iters)
+        # a segment runs to the next exchange, energy check, the cap or the end
+        t1 = min(t0 + cap, (t0 // 1024 + 1) * 1024, iters)
         if exchanging:
             t1 = min(t1, (t0 // config.exchange_interval + 1) * config.exchange_interval)
-        if b0 == 0:
-            # each replica draws its rows in place; none past the last iteration
-            cold = -table[t0 : t0 + block]
-            with np.errstate(divide="ignore"):
-                for r in range(reps):
-                    u = thresholds[r, : len(cold)]
-                    flip_streams[r].random(out=u)
-                    np.log(u, out=u)
-                    np.multiply(u, cold[:, r, None], out=u)
-                    choice_streams[r].random(out=choices[r, : len(cold)])
-            if on_lists:  # each row's largest gate, for the stall bound of _stretch
-                tops = thresholds[:, : len(cold)].max(axis=2)
+        gates = scratch[: t1 - t0]
+        cold = -table[t0:t1]
 
-        # replicas meet only at segment ends, so each runs its stretch alone;
-        # their new lows merge in (iteration, energy, replica) order, as a
-        # per-iteration minimum over the replicas would have taken them
-        b1 = b0 + t1 - t0
+        # each replica draws its gate rows and runs its stretch alone; the new
+        # lows merge in (iteration, energy, replica) order, as a per-iteration
+        # minimum over the replicas would have taken them
         lows: list[tuple[int, int, int, list[int] | np.ndarray]] = []
-        for r in range(reps):
-            gates = thresholds[r, b0:b1]
-            tail = (choices[r, b0:b1].tolist(), energy[r], offset[r], increment, best_energy, t0, r, lows)
-            if on_lists:
-                run = _stretch(delta[r], state[r], links, gates.tolist(), tops[r, b0:b1].tolist(), *tail)
-            else:
-                run = _stretch_np(delta[r], state[r], links, gates, *tail)
-            energy[r], offset[r], flips = run
-            accepted += flips
-            activations += t1 - t0 - flips
+        with np.errstate(divide="ignore"):  # only log(0) divides by zero; -inf * -T is a gate all pass
+            for r in range(reps):
+                flip_streams[r].random(out=gates)
+                np.log(gates, out=gates)
+                np.multiply(gates, cold[:, r, None], out=gates)
+                draws = choice_streams[r].random(t1 - t0).tolist()
+                tail = (energy[r], offset[r], increment, best_energy, t0, r, lows)
+                energy[r], offset[r], flips = kernel(delta[r], state[r], links, gates, draws, *tail)
+                accepted += flips
+                activations += t1 - t0 - flips
         for t, e, r, bits in sorted(lows):  # (t, r) is unique, so bits are never compared
             if e < best_energy:
                 best_energy, best_bits = e, bits
@@ -210,23 +197,25 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     return AnnealResult(tuple(int(b) for b in best_bits), best_energy, tuple(trace), accepted, activations)
 
 
-def _stretch(row, bits, links, gates, tops, draws, energy, off, increment, low, t0, r, lows):
+def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
     """Run replica r alone from iteration t0, one iteration per gate row.
 
     ``row`` (the flip deltas) and ``bits`` are Python lists, updated in
-    place.  Each energy below ``low`` and below every earlier one is
-    appended to ``lows`` as (iteration, energy, r, bits).  Returns the
-    energy, the offset and the number of flips.
+    place; ``gates`` holds numpy gate rows and ``draws`` the choice draws.
+    Each energy below ``low`` and below every earlier one is appended to
+    ``lows`` as (iteration, energy, r, bits).  Returns the energy, the
+    offset and the number of flips.
 
-    ``tops`` holds each gate row's largest gate.  An iteration whose smallest
-    delta is at least ``top + off`` raises the offset without a scan.  That
-    is exact: rounding is monotone, so ``fl(top + off)`` is at least every
+    An iteration whose smallest delta is at least its gate row's largest
+    gate ``top`` plus ``off`` raises the offset without a scan.  That is
+    exact: rounding is monotone, so ``fl(top + off)`` is at least every
     ``fl(g[i] + off)``; a gate is never NaN, and ``top + 0.0 == top``.
     """
     span = range(len(row))
     flips = 0
     floor = min(row)
-    for t, (g, top, c) in enumerate(zip(gates, tops, draws), t0):
+    tops = gates.max(axis=1).tolist()
+    for t, (g, top, c) in enumerate(zip(gates.tolist(), tops, draws), t0):
         if floor >= top + off:
             off += increment
             continue
@@ -261,8 +250,9 @@ def _stretch(row, bits, links, gates, tops, draws, energy, off, increment, low, 
 
 
 def _stretch_np(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
-    """The numpy twin of ``_stretch``: ``row`` and ``bits`` are numpy rows,
-    and ``links`` is (indptr as a list, indices, data, -data)."""
+    """The numpy twin of ``_stretch``, with the same arguments: ``row`` and
+    ``bits`` are numpy rows, and ``links`` is (indptr as a list, indices,
+    data, -data)."""
     starts, indices, data, anti = links
     flips = 0
     for t, (g, c) in enumerate(zip(gates, draws), t0):

@@ -39,6 +39,13 @@ def _check_budgets(args, methods) -> None:
             args.usage_error(f"argument --{dest.replace('_', '-')}: must be at least {low}, got {value}")
 
 
+def _seed(option: str, value: int) -> int:
+    """The seed, refused by name when negative (numpy's own error names no option)."""
+    if value < 0:
+        raise ValueError(f"argument {option}: must be non-negative, got {value}")
+    return value
+
+
 def _print_data(data: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=1))
@@ -48,6 +55,7 @@ def _print_data(data: dict, fmt: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    seed = _seed("--seed", args.seed)
     if args.topology.startswith("synth:"):
         # a missing or extra field leaves the degree empty or holding a comma
         nodes, _, degree = args.topology[len("synth:"):].partition(",")
@@ -55,11 +63,11 @@ def _cmd_gen(args) -> int:
             shape = int(nodes), float(degree)
         except ValueError:
             raise ValueError(f"topology {args.topology!r}: expected synth:<nodes>,<avg_out_degree>") from None
-        topo = synth_topology(*shape, seed=args.seed)
+        topo = synth_topology(*shape, seed=seed)
     else:
         # either a bare {nodes, links} document or a full instance file
         topo = network_from_dict(read_json(args.topology))
-    inst = generate(topo, args.wavelengths, args.requests, args.paths, args.seed)
+    inst = generate(topo, args.wavelengths, args.requests, args.paths, seed)
     save_instance(inst, args.output)
     print(f"wrote {args.output}: {inst.n_vars} variables, {len(inst.requests)} requests")
     return 0
@@ -130,7 +138,7 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     alpha, beta = _weights_for(inst, args.alpha, args.beta)
     report, result = bench_mod.solve(
-        inst, build_conflict_sets(inst), args.method, alpha, beta, seed=args.seed,
+        inst, build_conflict_sets(inst), args.method, alpha, beta, seed=_seed("--seed", args.seed),
         rho=args.rho if args.rho is not None else beta + DEFAULT_RHO_OFFSET,
         iterations=args.iterations, replicas=args.replicas, mode=args.mode,
         permutations=args.budget, node_limit=args.node_limit,
@@ -148,9 +156,10 @@ def _read_solution(path: str) -> Solution:
     doc = read_json(path)
     if not isinstance(doc, dict) or "bits" not in doc:
         raise ValueError("solution document has no 'bits' entry")
-    if not isinstance(doc["bits"], str):
-        raise ValueError(f"solution bits must be a string of 0s and 1s, got {doc['bits']!r}")
-    return Solution.from_string(doc["bits"])
+    bits = doc["bits"]
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise ValueError(f"solution bits must be a string of 0s and 1s, got {bits!r}")
+    return Solution.from_string(bits)
 
 
 def _cmd_verify(args) -> int:
@@ -182,7 +191,7 @@ def _int_list(option: str, text: str) -> list[int]:
 def _cmd_bench(args) -> int:
     methods = args.methods.split(",")
     _check_budgets(args, methods)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else [0]
+    seeds = [_seed("--seeds", s) for s in _int_list("--seeds", args.seeds)] if args.seeds else [0]
     sweep = _int_list("--rho-sweep", args.rho_sweep) if args.rho_sweep else [None]
     instances = [(path, load_instance(path)) for path in args.instances]
     tasks = [

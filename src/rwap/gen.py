@@ -67,6 +67,8 @@ def k_shortest_paths(net: Network, source: int, target: int, k: int) -> list[tup
 
     Parallel links count as distinct paths.
     """
+    if k < 1:
+        return []
     adj = _adjacency(net)
     first = _shortest(adj, source, target, set(), set())
     if first is None:

@@ -16,7 +16,8 @@ every infeasible vector strictly above every feasible one.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -128,7 +129,6 @@ class QuboModel:
     rho: int
     alpha: int
     beta: int
-    _adj: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.quadratic, PairTerms):
@@ -137,15 +137,18 @@ class QuboModel:
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Symmetric CSR-style (indptr, indices, data) over the pair terms,
         each row's columns ascending."""
-        if self._adj is None:
-            qi, qj, qv = self.pair_arrays()
-            rows = np.concatenate((qi, qj))
-            cols = np.concatenate((qj, qi))
-            order = np.argsort(rows * self.n + cols)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-            object.__setattr__(self, "_adj", (indptr, cols[order], np.concatenate((qv, qv))[order]))
         return self._adj
+
+    @cached_property
+    def _adj(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # built once per model; a model made by dataclasses.replace builds its own
+        qi, qj, qv = self.pair_arrays()
+        rows = np.concatenate((qi, qj))
+        cols = np.concatenate((qj, qi))
+        order = np.argsort(rows * self.n + cols)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, cols[order], np.concatenate((qv, qv))[order]
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored (i, j, q) arrays, read-only, keys ascending."""

@@ -424,6 +424,24 @@ def test_bench_names_a_malformed_integer_list(inst_path, capsys, option, value):
     assert _error_line(capsys) == f"error: argument {option}: expected comma-separated integers, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen", "--topology", "synth:8,1.6", "--wavelengths", "1", "--requests", "2", "--paths", "1", "--seed", "-1"],
+         "--seed"),
+        (["solve", "INST", "--method", "da", "--seed", "-1"], "--seed"),
+        (["solve", "INST", "--method", "rs", "--seed", "-1"], "--seed"),
+        (["bench", "INST", "--methods", "da,rs", "--seeds=-1"], "--seeds"),
+        (["bench", "INST", "--methods", "da,rs", "--seeds=0,-1"], "--seeds"),
+    ],
+)
+def test_a_negative_seed_is_named(inst_path, tmp_path, capsys, argv, option):
+    out = tmp_path / "out.json"
+    assert main([inst_path if a == "INST" else a for a in argv] + ["-o", str(out)]) == 2
+    assert _error_line(capsys) == f"error: argument {option}: must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_bench_records_an_unknown_method(inst_path, capsys):
     assert main(["bench", inst_path, "--methods", "nope"]) == 1
     row = next(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
@@ -450,14 +468,12 @@ def test_bench_records_row_errors_and_continues(tmp_path, capsys):
     assert all(r["error"] == "" for r in rs_rows)
 
 
-@pytest.mark.parametrize("bits", ["12", "1x", "100111a"])
+@pytest.mark.parametrize("bits", ["12", "1x", "100111a", "01x", "0 1"])
 def test_verify_rejects_malformed_bits(inst_path, tmp_path, capsys, bits):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps({"bits": bits}))
     assert main(["verify", inst_path, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert _error_line(capsys) == f"error: solution bits must be a string of 0s and 1s, got {bits!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,12 @@ def test_k_shortest_paths_multigraph_parallel_links():
     assert k_shortest_paths(net, 0, 1, 4) == [(0,), (1,)]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_shortest_paths_is_empty_below_one(k):
+    net = Network(node_count=2, links=((0, 1), (0, 1)))
+    assert k_shortest_paths(net, 0, 1, k) == []
+
+
 def test_generate_variable_count_closed_form():
     topo = synth_topology(12, 2.0, seed=3)
     inst = generate(topo, wavelengths=2, request_count=3, paths_per_kind=2, seed=7)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,19 @@ def test_penalty_zero_iff_feasible():
         for _ in range(60):
             bits = random_bits(rng, inst.n_vars)
             assert (penalty(inst, cs, bits).total_g == 0) == verify_feasible(inst, cs, bits).feasible
+
+
+def test_adjacency_is_built_from_the_model_it_belongs_to():
+    q = QuboModel(n=3, linear=(0, 0, 0), quadratic={(0, 1): 5}, constant=0, rho=1, alpha=0, beta=0)
+    q.adjacency()  # cache the old model's adjacency first
+    replaced = dataclasses.replace(q, quadratic={(1, 2): 7})
+    fresh = QuboModel(n=3, linear=(0, 0, 0), quadratic={(1, 2): 7}, constant=0, rho=1, alpha=0, beta=0)
+    for got, want in zip(replaced.adjacency(), fresh.adjacency()):
+        assert np.array_equal(got, want)
+    assert replaced.energy([0, 1, 1]) == fresh.energy([0, 1, 1]) == 7
+    assert q.energy([0, 1, 1]) == 0
+    with pytest.raises(TypeError):  # the adjacency is no constructor argument
+        QuboModel(n=1, linear=(0,), quadratic={}, constant=0, rho=1, alpha=0, beta=0, _adj=None)
 
 
 def test_flip_delta_examples():
