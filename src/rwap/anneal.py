@@ -16,25 +16,31 @@ cooling curve repeated for every replica.
 Replicas meet only at exchanges and at the energy check every 1024
 iterations.  The loop therefore walks segments, each ending at the next of
 these, at a length cap or at the last iteration.  Inside a segment each
-replica runs alone: it draws, logs and scales its own gate rows into one
-reused scratch block, takes its choice draws and runs its stretch on one of
-two kernels.  A model of up to ``_LIST_MAX_VARS`` variables runs on Python
-lists (``_stretch``), where numpy's per-call cost would dominate arrays this
-short, a larger one on numpy rows (``_stretch_np``), reading a flip's
-neighbours as a slice of the adjacency.  On lists a replica keeps its state
-for the whole run, and an iteration whose smallest delta is at least the
-largest gate plus the offset skips the scan: no flip can pass.  Each replica
-records its new lows, and merging them in (iteration, energy, replica) order
-gives the best state and trace that a per-iteration minimum over the replicas
-gives.  Python floats are the same doubles as numpy's and every operation is
-the same one, so both kernels give bit-identical results.
+replica runs alone on its own streams and temperature column, on one of two
+kernels.  A model of up to ``_LIST_MAX_VARS`` variables runs on Python lists
+(``_stretch``), where numpy's per-call cost would dominate arrays this
+short: it draws, logs and scales one gate per variable and iteration, keeps
+its state in lists for the whole run, and skips the scan of an iteration
+whose smallest delta is at least the largest gate plus the offset, since no
+flip can pass.  A larger one runs on numpy rows (``_stretch_np``), reads a
+flip's neighbours as a slice of the adjacency and draws its candidates
+sparsely (``_candidates``).  Each replica records its new lows, and merging
+them in (iteration, energy, replica) order gives the best state and trace
+that a per-iteration minimum over the replicas gives.
 
 Randomness is organised for reproducibility regardless of host parallelism:
 every replica owns two substreams derived from (seed, replica), one for the
-per-variable acceptance draws and one for the candidate choice, and each
-exchange round draws from a stream derived from (seed, round).  Flip i is a
-candidate iff u_i < exp(-max(0, delta_i - offset) / T), evaluated as
-max(0, delta_i - offset) < log(u_i) * -T to avoid overflow.
+acceptance draws and one for the candidate choice, and each exchange round
+draws from a stream derived from (seed, round).  Every stream is read in
+order, so a kernel's results depend neither on where segments end nor on
+the thread count.  Flip i is a candidate with probability p_i = min(1,
+exp(-(delta_i - offset) / T)), independently of the others.  The list
+kernel draws u_i for every flip and tests max(0, delta_i - offset) <
+log(u_i) * -T, which avoids overflow.  The numpy kernel gives the set the
+same law from fewer draws: a uniform each only for the flips with p_i >
+1/n, and a binomial number of thinned proposals for the rest.  The two
+kernels therefore give different results for the same model and seed; the
+candidate among the set is picked by the choice stream in both.
 """
 
 from __future__ import annotations
@@ -51,11 +57,14 @@ from .instance import penalty_terms_unchecked
 from .qubo import QuboModel, build_qubo
 
 # Models of at most this many variables anneal on the list kernel, larger
-# ones on the numpy kernel; both run one replica at a time and give
-# bit-identical results.  Measured per replica-iteration of a whole anneal on
-# generated models (8 replicas, tempering, rho = beta + 100, best of 5, two
-# runs), the list kernel took 55-66% of the numpy kernel's time at 16-24
-# variables, 71-86% at 28-36 and 88-98% at 40-44; the two were even at 48.
+# ones on the numpy kernel; both run one replica at a time.  Measured per
+# replica-iteration of a whole anneal on generated models (8 replicas,
+# tempering, rho = beta + 100, 2-core x86-64 VM), the list kernel took
+# 19-27% of the numpy kernel's time at 24-40 variables and 32% at 48 (best
+# of 5, 2000 and 4000 iterations), then 43% at 64, 74% at 128, and the two
+# were even at 192 (best of 3, 2000 iterations).  Before the numpy kernel
+# drew its candidates sparsely they were even at 48.  The cutoff stays: the
+# benchmark's models have at most 14 variables or at least 2388.
 _LIST_MAX_VARS = 32
 
 
@@ -140,10 +149,10 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     choice_streams = [_replica_stream(config.seed, r, 1) for r in range(reps)]
     kernel = _stretch if on_lists else _stretch_np
 
-    # the longest segment, sized so a replica's gate rows stay in a core's
-    # cache; each stream is read in order, so the cap does not change results
+    # the longest segment, sized so a replica's gate rows on the list path
+    # stay in a core's cache; each stream is read in order, so the cap does
+    # not change results
     cap = max(8, min(256, 200_000 // max(n * reps, 1)))
-    scratch = np.empty((cap, n))  # one replica's gate rows, reused by all
 
     best_energy = int(qubo.constant)
     best_bits = state[0].copy()
@@ -158,21 +167,18 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
         t1 = min(t0 + cap, (t0 // 1024 + 1) * 1024, iters)
         if exchanging:
             t1 = min(t1, (t0 // config.exchange_interval + 1) * config.exchange_interval)
-        gates = scratch[: t1 - t0]
-        cold = -table[t0:t1]
 
-        # each replica draws its gate rows and runs its stretch alone; the new
-        # lows merge in (iteration, energy, replica) order, as a per-iteration
-        # minimum over the replicas would have taken them
+        # each replica runs its stretch alone on its own streams and its
+        # temperature column; the new lows merge in (iteration, energy,
+        # replica) order, as a per-iteration minimum over the replicas would
+        # have taken them
         lows: list[tuple[int, int, int, list[int] | np.ndarray]] = []
         with np.errstate(divide="ignore"):  # only log(0) divides by zero; -inf * -T is a gate all pass
             for r in range(reps):
-                flip_streams[r].random(out=gates)
-                np.log(gates, out=gates)
-                np.multiply(gates, cold[:, r, None], out=gates)
                 draws = choice_streams[r].random(t1 - t0).tolist()
+                head = (delta[r], state[r], links, flip_streams[r], table[t0:t1, r], draws)
                 tail = (energy[r], offset[r], increment, best_energy, t0, r, lows)
-                energy[r], offset[r], flips = kernel(delta[r], state[r], links, gates, draws, *tail)
+                energy[r], offset[r], flips = kernel(*head, *tail)
                 accepted += flips
                 activations += t1 - t0 - flips
         for t, e, r, bits in sorted(lows):  # (t, r) is unique, so bits are never compared
@@ -197,20 +203,26 @@ def anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     return AnnealResult(tuple(int(b) for b in best_bits), best_energy, tuple(trace), accepted, activations)
 
 
-def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
-    """Run replica r alone from iteration t0, one iteration per gate row.
+def _stretch(row, bits, links, rng, temps, draws, energy, off, increment, low, t0, r, lows):
+    """Run replica r alone from iteration t0, one iteration per temperature
+    in ``temps`` (a numpy column).
 
     ``row`` (the flip deltas) and ``bits`` are Python lists, updated in
-    place; ``gates`` holds numpy gate rows and ``draws`` the choice draws.
-    Each energy below ``low`` and below every earlier one is appended to
-    ``lows`` as (iteration, energy, r, bits).  Returns the energy, the
-    offset and the number of flips.
+    place; ``rng`` is the replica's flip stream and ``draws`` its choice
+    draws.  Each energy below ``low`` and below every earlier one is
+    appended to ``lows`` as (iteration, energy, r, bits).  Returns the
+    energy, the offset and the number of flips.
 
-    An iteration whose smallest delta is at least its gate row's largest
-    gate ``top`` plus ``off`` raises the offset without a scan.  That is
-    exact: rounding is monotone, so ``fl(top + off)`` is at least every
-    ``fl(g[i] + off)``; a gate is never NaN, and ``top + 0.0 == top``.
+    Every iteration draws one gate per variable, -T log u, and flip i passes
+    when ``row[i] < gate + off``.  An iteration whose smallest delta is at
+    least its gate row's largest gate ``top`` plus ``off`` raises the offset
+    without a scan.  That is exact: rounding is monotone, so ``fl(top +
+    off)`` is at least every ``fl(g[i] + off)``; a gate is never NaN, and
+    ``top + 0.0 == top``.
     """
+    gates = rng.random((len(draws), len(row)))
+    np.log(gates, out=gates)
+    gates *= -temps[:, None]
     span = range(len(row))
     flips = 0
     floor = min(row)
@@ -249,15 +261,16 @@ def _stretch(row, bits, links, gates, draws, energy, off, increment, low, t0, r,
     return energy, off, flips
 
 
-def _stretch_np(row, bits, links, gates, draws, energy, off, increment, low, t0, r, lows):
+def _stretch_np(row, bits, links, rng, temps, draws, energy, off, increment, low, t0, r, lows):
     """The numpy twin of ``_stretch``, with the same arguments: ``row`` and
     ``bits`` are numpy rows, and ``links`` is (indptr as a list, indices,
-    data, -data)."""
+    data, -data).  Each iteration takes its candidates from ``_candidates``,
+    which gives them the law of ``_stretch``'s gate test without a draw per
+    variable."""
     starts, indices, data, anti = links
     flips = 0
-    for t, (g, c) in enumerate(zip(gates, draws), t0):
-        # gates are never -0.0 or NaN, so adding a zero offset is a no-op
-        cand = np.less(row, g + off if off else g).nonzero()[0]
+    for t, (temp, c) in enumerate(zip(temps.tolist(), draws), t0):
+        cand = _candidates(row, off, temp, rng)
         m = len(cand)
         if not m:
             off += increment
@@ -279,6 +292,42 @@ def _stretch_np(row, bits, links, gates, draws, energy, off, increment, low, t0,
             low = energy
             lows.append((t, energy, r, bits.copy()))
     return energy, off, flips
+
+
+def _candidates(row, off, temp, rng):
+    """The flips that pass one iteration's Metropolis test, drawn from
+    ``rng`` and returned in ascending order: flip i passes independently
+    with probability p_i = min(1, exp(-(row[i] - off) / temp)).
+
+    Take L = ln n, so that p_i <= 1/n exactly when row[i] - off >= temp * L.
+    The near flips, below that reach, draw one uniform each and take the
+    gate test of ``_stretch``.  Each of the K tail flips is proposed with
+    probability 1/n, as k ~ Binomial(K, 1/n) distinct tail flips drawn
+    uniformly, and a proposal is kept with probability n p_i.  So the set
+    has the law of one gate per flip, while a cold rung's tail of thousands
+    costs about one proposal.
+    """
+    n = len(row)
+    log_n = math.log(n)
+    reach = off + temp * log_n
+    near = (row < reach).nonzero()[0]
+    gates = rng.random(len(near))
+    np.log(gates, out=gates)
+    gates *= -temp
+    if off:  # gates are never -0.0 or NaN, so adding a zero offset is a no-op
+        gates += off
+    cand = near[row[near] < gates]
+    k = rng.binomial(n - len(near), 1 / n)
+    if not k:
+        return cand
+    proposed: set[int] = set()
+    while len(proposed) < k:  # uniform over the tail, without replacement
+        i = int(rng.integers(n))
+        if row[i] >= reach:
+            proposed.add(i)
+    kept = [i for i in sorted(proposed) if rng.random() < math.exp(log_n - (row[i] - off) / temp)]
+    return np.sort(np.concatenate((cand, kept))) if kept else cand
+
 
 def repair(instance: Instance, conflict_sets: ConflictSets, bits: list[int], alpha: int, beta: int) -> bool:
     """Greedily clear bits involved in violations, cheapest damage first.

@@ -1,7 +1,7 @@
 """Method dispatch and benchmark harness: ``solve`` maps each method name to
 its solver for the command line and for every benchmark row; the harness
-writes one CSV row per (instance, method, seed) and per-method aggregate
-rows, with optional penalty-coefficient sweeps."""
+writes one CSV row per (instance, method, seed) and aggregate rows per method
+and penalty-coefficient offset, with optional offset sweeps."""
 
 from __future__ import annotations
 
@@ -109,28 +109,32 @@ def _run_task(task: BenchTask) -> dict:
 
 def run_bench(tasks: list[BenchTask]) -> list[dict]:
     """Execute all rows (parallel across tasks under RWAP_THREADS) and append
-    per-(method, rho) aggregate rows; per-row results are independent of the
-    worker count."""
+    one aggregate row per method and annealer rho offset, over every
+    instance; per-row results are independent of the worker count."""
     workers = worker_count()
     if workers == 1:
         rows = [_run_task(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_task, tasks))
-    aggregates: dict[tuple[str, object], list[dict]] = {}
-    for row in rows:
+    # keyed by the offset, not by rho: rho = beta + offset, and beta is
+    # set per instance
+    aggregates: dict[tuple[str, int | None], list[dict]] = {}
+    for task, row in zip(tasks, rows):
         if row["error"]:
             continue
-        aggregates.setdefault((row["method"], row["rho"]), []).append(row)
+        offset = task.rho_offset if row["rho"] != "" else None
+        aggregates.setdefault((row["method"], offset), []).append(row)
     agg_rows = []
-    for (method, rho), group in sorted(aggregates.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for (method, _), group in sorted(aggregates.items(), key=lambda kv: kv[0][0]):  # stable: sweep order kept
         granted = [r["granted"] for r in group]
         lpg = [r["links_per_granted"] for r in group if r["links_per_granted"] != ""]
+        rhos = {r["rho"] for r in group}
         agg = {c: "" for c in CSV_COLUMNS}
         agg.update(
             instance="AGGREGATE",
             method=method,
-            rho=rho,
+            rho=rhos.pop() if len(rhos) == 1 else "",
             granted=round(sum(granted) / len(granted), 2),
             links_per_granted=round(sum(lpg) / len(lpg), 2) if lpg else "",
             wall_time_s=round(sum(r["wall_time_s"] for r in group) / len(group), 3),

@@ -235,17 +235,19 @@ def test_seeded_results_are_pinned(mode, iterations, replicas, rho, t_min, bits,
 
 
 # The same runs on a 36-variable instance, above _LIST_MAX_VARS, so they take
-# the numpy path; computed with the iteration-major loop that ran for every
-# model size before the list path existed.  Same columns as _PINNED.
+# the numpy path and its sparse candidate draw (`_candidates`); computed with
+# that kernel and checked in.  In the last row, at T = 50, every flip is in
+# the near set, so it draws a gate per variable and keeps the result of the
+# dense draw that came before.  Same columns as _PINNED.
 _PINNED_NUMPY_PATH = [
-    ("tempering", 300, 1, 115, 1.0, "000001001000000100001000010000000010", -25, 300, 0,
-     ((0, 0), (2, -8), (4, -18), (230, -25))),
-    ("tempering", 300, 3, 115, 1.0, "000001001000000100001000010000000010", -25, 328, 572,
-     ((0, 0), (2, -8), (4, -18), (230, -25))),
-    ("single", 300, 1, 115, 1.0, "000010100000000001000001100000100000", -26, 100, 200,
-     ((0, 0), (2, -8), (4, -18), (30, -24), (96, -25), (136, -26))),
-    ("single", 300, 3, 115, 1.0, "000100001000000001000001010000000100", -27, 300, 600,
-     ((0, 0), (2, -8), (4, -18), (30, -24), (76, -25), (84, -27))),
+    ("tempering", 300, 1, 115, 1.0, "000001100000100000100000010000000001", -25, 300, 0,
+     ((0, 0), (2, -8), (26, -25))),
+    ("tempering", 300, 3, 115, 1.0, "000001100000100000100000010000000001", -25, 340, 560,
+     ((0, 0), (2, -8), (26, -25))),
+    ("single", 300, 1, 115, 1.0, "010000000100010000010000001000000001", -24, 102, 198,
+     ((0, 0), (2, -8), (38, -24))),
+    ("single", 300, 3, 115, 1.0, "100000000001000100000100001000000010", -26, 296, 604,
+     ((0, 0), (2, -8), (28, -26))),
     ("tempering", 300, 3, 2, 50.0, "100010010000000001000000100001001000", -28, 900, 0,
      ((0, 0), (1, -10), (2, -12), (3, -19), (4, -21), (6, -23), (7, -28))),
 ]

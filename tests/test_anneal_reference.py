@@ -1,15 +1,18 @@
 """The segmented annealer against the iteration-major loop it replaced.
 
-Replicas meet only at refills, exchanges and energy checks, so `anneal`
-runs each segment between them one replica at a time, under one driver
-with two per-replica kernels: Python lists up to `_LIST_MAX_VARS`
-variables, numpy rows above.  An off-by-one at a segment end, or a wrong
-order when the replicas' new lows are merged, would still pass every
-statistical test; this module asserts that every `AnnealResult` field of
-either kernel is equal to the old loop's, across models on both sides of
-`_LIST_MAX_VARS`, both modes, several replica counts and exchange
-intervals, and iteration counts at and around the refill block (256 here)
-and the check interval (1024).
+Replicas meet only at exchanges and energy checks, so `anneal` runs each
+segment between them, or up to a length cap, one replica at a time, under
+one driver with two per-replica kernels: Python lists up to
+`_LIST_MAX_VARS` variables, numpy rows above.  An off-by-one at a segment
+end, or a wrong order when the replicas' new lows are merged, would still
+pass every statistical test; this module asserts that every `AnnealResult`
+field of either kernel is equal to the old loop's, across models on both
+sides of `_LIST_MAX_VARS`, both modes, several replica counts and exchange
+intervals, and iteration counts at and around the segment cap (256 here)
+and the check interval (1024).  Above `_LIST_MAX_VARS` the old loop takes
+each replica's candidates from the sparse sampler `_candidates`, called once
+per (iteration, replica) on that replica's flip stream, as the numpy kernel
+does; its law is checked in `test_anneal_law.py`.
 """
 
 import math
@@ -17,7 +20,15 @@ import math
 import numpy as np
 import pytest
 
-from rwap.anneal import _LIST_MAX_VARS, AnnealConfig, AnnealResult, _exchange_stream, _replica_stream, anneal
+from rwap.anneal import (
+    _LIST_MAX_VARS,
+    AnnealConfig,
+    AnnealResult,
+    _candidates,
+    _exchange_stream,
+    _replica_stream,
+    anneal,
+)
 from rwap.conflicts import build_conflict_sets
 from rwap.gen import generate, synth_topology
 from rwap.qubo import QuboModel, build_qubo
@@ -26,7 +37,8 @@ from rwap.weights import beta_base
 
 def reference_anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     """The iteration-major loop that ran for every model size before the
-    segmented loop, kept verbatim as the reference."""
+    segmented loop, kept as the reference.  Above `_LIST_MAX_VARS` each
+    replica's candidates come from `_candidates` instead of a gate row."""
     n = qubo.n
     if n == 0:
         return AnnealResult(
@@ -60,6 +72,7 @@ def reference_anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
     temps = np.geomspace(t_max, config.t_min, reps if tempering else iters)
     table = np.broadcast_to(temps if tempering else temps[:, None], (iters, reps))
 
+    sparse = n > _LIST_MAX_VARS
     flip_streams = [_replica_stream(config.seed, r, 0) for r in range(reps)]
     choice_streams = [_replica_stream(config.seed, r, 1) for r in range(reps)]
 
@@ -84,22 +97,28 @@ def reference_anneal(qubo: QuboModel, config: AnnealConfig) -> AnnealResult:
             cold = -table[t : t + block]
             with np.errstate(divide="ignore"):
                 for r in range(reps):
-                    u = flip_streams[r].random((block, n))[: len(cold)]
-                    np.log(u, out=u)
-                    np.multiply(u, cold[:, r, None], out=thresholds[: len(cold), r])
+                    if not sparse:
+                        u = flip_streams[r].random((block, n))[: len(cold)]
+                        np.log(u, out=u)
+                        np.multiply(u, cold[:, r, None], out=thresholds[: len(cold), r])
                     choices[:, r] = choice_streams[r].random(block)
-        np.add(thresholds[bt], offset[:, None], out=gate)
-        np.less(delta, gate, out=candidates)
+        if sparse:
+            with np.errstate(divide="ignore"):
+                cands = [_candidates(delta[r], offset[r], table[t, r], flip_streams[r]) for r in range(reps)]
+        else:
+            np.add(thresholds[bt], offset[:, None], out=gate)
+            np.less(delta, gate, out=candidates)
+            cands = [row.nonzero()[0] for row in candidates]
 
         # replicas without a candidate raise their offset; the others take
         # candidate floor(choice * m) of their m candidates
-        live = candidates.any(axis=1)
+        live = np.array([len(idx) > 0 for idx in cands])
         active = live.nonzero()[0].tolist()
         if len(active) < reps:
             offset[~live] += increment
             activations += reps - len(active)
         for r in active:
-            idx = candidates[r].nonzero()[0]
+            idx = cands[r]
             m = len(idx)
             pick = int(idx[min(int(choices[bt, r] * m), m - 1)])
             row, bits = delta[r], state[r]
@@ -154,7 +173,7 @@ def _model(n: int, rho: int = 20) -> QuboModel:
 SIZES = [1, 2, _LIST_MAX_VARS, _LIST_MAX_VARS + 1, 40]
 
 # (mode, iterations, replicas, exchange interval): every replica count and
-# interval over 600 iterations, across the refills at 256 and 512; one run of
+# interval over 600 iterations, across the segment caps at 256 and 512; one run of
 # 2100, across the checks at 1024 and 2048; runs ending at or around those
 # boundaries.  Single mode never exchanges, so it runs one interval.
 RUNS = (
@@ -185,8 +204,8 @@ def test_matches_with_rho_below_t_min(n, mode):
 
 @pytest.mark.parametrize("n", [_LIST_MAX_VARS, _LIST_MAX_VARS + 1])
 def test_matches_with_a_block_that_does_not_divide_the_check_interval(n):
-    # 33 replicas shrink the refill block below 256, so refills, exchanges
-    # and checks fall on three unaligned grids
+    # 33 replicas shrink the segment cap below 256, so capped segment ends,
+    # exchanges and checks fall on three unaligned grids
     config = AnnealConfig(1030, 33, exchange_interval=7, seed=2)
     q = _model(n)
     assert 1024 % max(8, min(256, 200_000 // (n * 33)))
@@ -207,14 +226,14 @@ def _sparse_model(n: int, rho: int = 20) -> QuboModel:
     return QuboModel(n=n, linear=tuple(linear.tolist()), quadratic=pairs, constant=3, rho=rho, alpha=1, beta=1)
 
 
-# (n, replicas, refill block): the block reaches its floor of 8 once
+# (n, replicas, segment cap): the cap reaches its floor of 8 once
 # n * replicas >= 25,000, as on the 6000-variable, 4-replica benchmark
-# model; 1000 x 8 gives a block of 25, which divides neither 1024 nor 1030.
+# model; 1000 x 8 gives a cap of 25, which divides neither 1024 nor 1030.
 SCALE_SHAPES = [(3125, 8, 8), (6250, 4, 8), (1000, 8, 25)]
 
 # (mode, iterations, exchange interval): 1030 iterations cross the check at
-# 1024 and end inside a block; 13 end inside the second block of 8 and
-# inside the first block of 25.
+# 1024 and end inside a capped segment; 13 end inside the second segment of
+# 8 and inside the first of 25.
 SCALE_RUNS = [("tempering", 1030, 7), ("tempering", 1030, 50), ("single", 1030, 50), ("tempering", 13, 5), ("single", 13, 5)]
 
 

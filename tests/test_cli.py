@@ -705,3 +705,27 @@ def test_reduce_mss_takes_only_integers(tmp_path, capsys, doc):
     assert main(["reduce-mss", str(graph), "-o", str(out)]) == 2
     assert _error_line(capsys).startswith("error: malformed graph document: ")
     assert not out.exists()
+
+
+def test_bench_aggregates_over_instances_per_offset(tmp_path, capsys):
+    # two instances with different beta, so each sweep offset gives each
+    # instance its own rho; the aggregates must still be one per offset
+    betas = {}
+    for k, (nodes, requests) in enumerate([(8, 3), (9, 4)]):
+        inst = generate(synth_topology(nodes, 1.5, k), 2, requests, 1, k)
+        path = str(tmp_path / f"{k}.json")
+        save_instance(inst, path)
+        betas[path] = beta_base(inst).beta
+    assert len(set(betas.values())) == 2
+    rc = main(["bench", *betas, "--methods", "da,rs", "--seeds", "0,1", "--iterations", "50", "--budget", "2",
+               "--rho-sweep", "100,1000"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    aggregates = [r for r in rows if r["instance"] == "AGGREGATE"]
+    assert [(r["method"], r["rho"]) for r in aggregates] == [("da", ""), ("da", ""), ("rs", "")]
+    for offset, agg in zip((100, 1000), aggregates):
+        group = [int(r["granted"]) for r in rows if r["method"] == "da" and r["instance"] in betas
+                 and int(r["rho"]) == betas[r["instance"]] + offset]
+        assert len(group) == 4 and float(agg["granted"]) == round(sum(group) / 4, 2)
